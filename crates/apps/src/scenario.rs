@@ -406,7 +406,7 @@ impl Scenario {
     ///
     /// A [`TopologyFamily::FullMesh`] scenario leaves `config.topology`
     /// unset (the runtime's full-mesh default, direct sends); anything
-    /// else builds the concrete topology, which the transport serves via
+    /// else builds the concrete topology, which the net serves via
     /// overlay routing.
     pub fn sim_config(&self) -> SimConfig {
         let topology = match &self.topology {

@@ -1,19 +1,14 @@
-//! Differential property tests of the overlay routing layer.
+//! Differential property tests of the overlay routing the nets do.
 //!
-//! Three invariants, from strongest to weakest:
+//! Two invariants, from stronger to weaker:
 //!
-//! 1. **Routed full mesh ≡ direct full mesh, exactly.** Every route on a
-//!    mesh is the single direct link and the relay envelope accounts the
-//!    same bytes, so forced routing must reproduce direct sends bit for
-//!    bit — histories, settled values, control summaries *and* network
-//!    statistics. This pins the paper's baseline numbers.
-//! 2. **Sparse topologies reproduce the full-mesh outcome for race-free
+//! 1. **Sparse topologies reproduce the full-mesh outcome for race-free
 //!    scripts.** When each variable has a single writer (the
 //!    producer/consumer regime), replica contents at every settle point
 //!    are a function of each writer's FIFO prefix, independent of how
 //!    long individual hops take — so histories, control summaries, and
 //!    settled values on ring/grid/star/line equal the full-mesh run.
-//! 3. **Control accounting is topology-independent for *any* script.**
+//! 2. **Control accounting is topology-independent for *any* script.**
 //!    When different writers race on one variable inside a settle window,
 //!    PRAM and causal consistency both *allow* replicas to apply the
 //!    concurrent updates in arrival order, and arrival order legitimately
@@ -27,7 +22,7 @@ use apps::workload::{generate, WorkloadOp, WorkloadSpec};
 use dsm::{ControlSummary, DynDsm, ProtocolKind};
 use histories::{pram_spot_check, Distribution, History, ProcId, Value, VarId};
 use proptest::prelude::*;
-use simnet::{NetworkStats, RoutingMode, SimConfig, Topology};
+use simnet::{NetworkStats, SimConfig, Topology};
 
 struct Observation {
     history: History,
@@ -44,11 +39,9 @@ fn run(
     dist: &Distribution,
     ops: &[WorkloadOp],
     topology: Option<Topology>,
-    routing: RoutingMode,
 ) -> Observation {
     let config = SimConfig {
         topology,
-        routing,
         ..SimConfig::default()
     };
     let mut dsm = DynDsm::with_config(kind, dist.clone(), config);
@@ -137,33 +130,17 @@ fn sparse_topologies(n: usize) -> Vec<Topology> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Routed full mesh ≡ direct full mesh, bit for bit: histories,
-    /// settled values, control summaries AND network statistics.
-    #[test]
-    fn forced_routing_on_the_full_mesh_is_byte_identical((dist, ops) in small_setup()) {
-        for kind in ProtocolKind::ALL {
-            let direct = run(kind, &dist, &ops, None, RoutingMode::Direct);
-            let routed = run(kind, &dist, &ops, None, RoutingMode::ForceRouted);
-            prop_assert!(!direct.routed);
-            prop_assert!(routed.routed);
-            prop_assert_eq!(&direct.history, &routed.history, "{} histories diverged", kind);
-            prop_assert_eq!(&direct.network, &routed.network, "{} network stats diverged", kind);
-            prop_assert_eq!(&direct.control, &routed.control, "{} control summaries diverged", kind);
-            prop_assert_eq!(&direct.settled, &routed.settled, "{} settled values diverged", kind);
-        }
-    }
-
     /// Ring/grid/star/line runs reproduce the full-mesh history, control
     /// summary, and settled replica contents for race-free scripts (wire
     /// statistics legitimately differ: relays pay per hop).
     #[test]
     fn sparse_topologies_reproduce_the_full_mesh_outcome((dist, ops) in single_writer_setup()) {
         for kind in ProtocolKind::ALL {
-            let mesh = run(kind, &dist, &ops, None, RoutingMode::Auto);
+            let mesh = run(kind, &dist, &ops, None);
             // Protocol runs always pass the polynomial PRAM spot-check.
             prop_assert_eq!(pram_spot_check(&mesh.history), Ok(()));
             for topology in sparse_topologies(dist.process_count()) {
-                let sparse = run(kind, &dist, &ops, Some(topology.clone()), RoutingMode::Auto);
+                let sparse = run(kind, &dist, &ops, Some(topology.clone()));
                 prop_assert!(sparse.routed || topology.is_full_mesh());
                 prop_assert_eq!(
                     &mesh.history, &sparse.history,
@@ -194,9 +171,9 @@ proptest! {
     #[test]
     fn control_accounting_is_topology_independent((dist, ops) in small_setup()) {
         for kind in ProtocolKind::ALL {
-            let mesh = run(kind, &dist, &ops, None, RoutingMode::Auto);
+            let mesh = run(kind, &dist, &ops, None);
             for topology in sparse_topologies(dist.process_count()) {
-                let sparse = run(kind, &dist, &ops, Some(topology.clone()), RoutingMode::Auto);
+                let sparse = run(kind, &dist, &ops, Some(topology.clone()));
                 prop_assert_eq!(
                     &mesh.control, &sparse.control,
                     "{} control summaries diverged on {:?}", kind, topology

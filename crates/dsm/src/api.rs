@@ -7,13 +7,13 @@ use std::fmt;
 /// The Memory Consistency System protocols provided by this crate.
 ///
 /// Every protocol issues *logical* sends — "this payload to these
-/// processes" — and the [`simnet::Transport`] underneath decides how they
-/// travel: direct links on a full mesh, BFS shortest-path relays on any
-/// sparse connected topology ([`simnet::RoutingMode`]), and, under a
-/// multicast [`simnet::DeliveryMode`], one envelope per broadcast-tree
-/// edge for identical-payload fan-outs. No protocol below ever names a
-/// physical link, so every variant here runs unmodified on every
-/// topology and delivery mode the runtime supports.
+/// processes" — and the net underneath ([`simnet::Simulator`] or
+/// [`simnet::ThreadedNet`]) decides how they travel: direct links on a
+/// full mesh, BFS shortest-path relays on any sparse connected topology,
+/// and, under a multicast [`simnet::DeliveryMode`], one envelope per
+/// broadcast-tree edge for identical-payload fan-outs. No protocol below
+/// ever names a physical link, so every variant here runs unmodified on
+/// every topology and delivery mode the runtime supports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// Causal consistency with **full replication**: every node replicates
@@ -149,12 +149,12 @@ pub enum DsmError {
         proc: ProcId,
     },
     /// The simulated network could not carry a message the operation
-    /// produced (for example a direct send between non-neighbours on a
-    /// sparse topology with routing disabled).
+    /// produced (for example traffic parked at a node that crashed with
+    /// no scheduled restart).
     Network(simnet::SendError),
     /// The deployment configuration was rejected at construction: a
-    /// topology/distribution size mismatch, a disconnected topology under
-    /// routing, or a fault plan whose scheduled crash windows would
+    /// topology/distribution size mismatch, a disconnected topology, or a
+    /// fault plan whose scheduled crash windows would
     /// bypass DSM recovery.
     InvalidConfig {
         /// Human-readable reason the configuration was rejected.

@@ -198,8 +198,8 @@ impl DynDsm {
         dispatch!(self, sys => sys.topology())
     }
 
-    /// Whether sends are relayed over shortest paths (sparse topology or
-    /// forced routing) rather than delivered on direct links.
+    /// Whether sends are relayed over shortest paths (any topology
+    /// sparser than a full mesh) rather than delivered on direct links.
     pub fn is_routed(&self) -> bool {
         dispatch!(self, sys => sys.is_routed())
     }
@@ -333,8 +333,9 @@ impl DynDsm {
         dispatch!(self, sys => sys.restart(p))
     }
 
-    /// Envelopes currently parked at a crashed process (transit traffic
-    /// awaiting its restart; 0 on direct transports).
+    /// Packets currently parked at a crashed process (transit traffic
+    /// awaiting its restart; 0 on a full mesh and for an unknown
+    /// process).
     pub fn parked_messages(&self, p: ProcId) -> usize {
         dispatch!(self, sys => sys.parked_messages(p))
     }

@@ -281,7 +281,7 @@ impl McsNode for CausalFullNode {
         self.log.push(msg.clone());
         let bytes = msg.control_size();
         // One logical record per destination (the control accounting the
-        // paper reasons about), handed to the transport as one
+        // paper reasons about), handed to the net as one
         // multi-destination send so a multicast wire can deduplicate the
         // identical payload along its broadcast tree.
         let targets: Vec<NodeId> = (0..self.n)

@@ -89,6 +89,6 @@ pub trait ProtocolSpec {
     /// `delivery.delta` by charging each clock at its sparse
     /// [`crate::clock::DeltaVc`] encoding against the writer's previous
     /// write; everyone else ignores them. The `multicast` half of the
-    /// mode is handled below the protocols, in the transport.
+    /// mode is handled below the protocols, in the net.
     fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self::Node>;
 }

@@ -2,7 +2,8 @@
 //! MCS nodes hosted on a simulated cluster.
 //!
 //! [`DsmSystem`] glues the pieces together: it owns a
-//! [`simnet::Transport`] whose nodes are the protocol's MCS processes,
+//! [`simnet::Simulator`] (or a [`simnet::ThreadedNet`]) whose nodes are
+//! the protocol's MCS processes,
 //! validates that application accesses respect the variable distribution
 //! (under partial replication a process may only touch the variables it
 //! replicates), records every operation for offline consistency checking,
@@ -10,9 +11,9 @@
 //! benchmarks report.
 //!
 //! The MCS protocols assume any process can message any other. On a full
-//! mesh the transport sends directly, exactly as the paper's model; on a
-//! sparse topology ([`SimConfig::topology`]) the transport relays every
-//! logical send over BFS shortest paths, so all four protocols run
+//! mesh the net sends directly, exactly as the paper's model; on a
+//! sparse topology ([`SimConfig::topology`]) the net relays every
+//! logical send over BFS shortest paths, so every protocol runs
 //! unmodified on rings, grids, stars, or any strongly connected link set.
 
 use crate::api::{DsmError, ProtocolKind};
@@ -21,12 +22,12 @@ use crate::protocol::{McsNode, ProtocolSpec};
 use crate::recorder::Recorder;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use simnet::{
-    DeliveryMode, ExecBackend, FabricStats, NetworkStats, NodeId, PoolStats, RunOutcome, SimConfig,
-    SimTime, ThreadedTransport, Topology, Transport, WorkerDead,
+    DeliveryMode, ExecBackend, FabricStats, NetworkStats, NodeId, PoolStats, RouteError,
+    RunOutcome, SimConfig, SimTime, Simulator, ThreadedNet, Topology, WorkerDead,
 };
 
 /// The execution substrate a [`DsmSystem`] drives its nodes on: the
-/// discrete-event transport or the threaded ring fabric. The protocol
+/// discrete-event simulator or the threaded ring fabric. The protocol
 /// nodes are identical either way; only the scheduler differs.
 // Both variants are hundreds of bytes and exactly one exists per system,
 // so boxing either would buy nothing and put a pointer chase on the
@@ -34,11 +35,26 @@ use simnet::{
 #[allow(clippy::large_enum_variant)]
 enum NetBackend<P: ProtocolSpec> {
     /// Discrete-event simulation (virtual time, full feature set).
-    Sim(Transport<P::Msg, P::Node>),
+    Sim(Simulator<P::Msg, P::Node>),
     /// One OS thread per process, over every topology and delivery mode
     /// (replay or free-running; fault injection stays simnet-only — see
     /// [`DsmError::Unsupported`]).
-    Threaded(ThreadedTransport<P::Msg, P::Node>),
+    Threaded(ThreadedNet<P::Msg, P::Node>),
+}
+
+/// The simulator behind `net`, for the operations only it supports
+/// (crash and restart).
+fn simulator<P: ProtocolSpec>(
+    net: &mut NetBackend<P>,
+) -> Result<&mut Simulator<P::Msg, P::Node>, DsmError> {
+    match net {
+        NetBackend::Sim(sim) => Ok(sim),
+        NetBackend::Threaded(_) => Err(DsmError::Unsupported {
+            reason: "crash/restart on the threaded backend (worker threads cannot lose \
+                     in-flight channel messages deterministically yet)"
+                .to_string(),
+        }),
+    }
 }
 
 /// Map a dead worker thread to the DSM-level error naming its process.
@@ -70,14 +86,13 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     ///
     /// The topology comes from `config.topology` when set (it must span
     /// exactly one node per process); otherwise a full mesh over the
-    /// distribution's processes is used. Under the default
-    /// [`RoutingMode::Auto`](simnet::RoutingMode) a full mesh sends
-    /// directly and anything sparser is relayed over shortest paths, so
-    /// any strongly connected topology works for every protocol.
+    /// distribution's processes is used. A full mesh sends directly and
+    /// anything sparser is relayed over shortest paths, so any strongly
+    /// connected topology works for every protocol.
     ///
     /// Panics if the topology's node count disagrees with the
-    /// distribution, if routing is required but the topology is not
-    /// strongly connected, or if the fault plan schedules crash windows:
+    /// distribution, if the topology is not strongly connected, or if
+    /// the fault plan schedules crash windows:
     /// a scheduled window would take a node down without ever running
     /// its snapshot restore or catch-up handshake (those are driven by
     /// [`DsmSystem::crash`] / [`DsmSystem::restart`]), silently leaving
@@ -115,94 +130,57 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         backend: ExecBackend,
     ) -> Result<Self, DsmError> {
         match backend {
-            ExecBackend::Simnet => Self::build_simnet(dist, config, backend),
-            ExecBackend::Threaded(mode) => {
-                if !config.faults.is_trivial() {
-                    return Err(DsmError::Unsupported {
-                        reason: "fault injection on the threaded backend (drops, duplicates, \
-                                 and crash windows are simnet-only)"
-                            .to_string(),
-                    });
-                }
-                let topology = match &config.topology {
-                    Some(t) => {
-                        if t.node_count() != dist.process_count() {
-                            return Err(DsmError::InvalidConfig {
-                                reason: format!(
-                                    "topology must have one node per process \
-                                     ({} nodes for {} processes)",
-                                    t.node_count(),
-                                    dist.process_count()
-                                ),
-                            });
-                        }
-                        t.clone()
-                    }
-                    None => Topology::full_mesh(dist.process_count()),
-                };
-                let delivery = config.delivery;
-                let nodes = P::build_nodes(&dist, delivery);
-                let net = ThreadedTransport::new(mode, topology, config, nodes).map_err(|e| {
-                    DsmError::InvalidConfig {
-                        reason: e.to_string(),
-                    }
-                })?;
-                let recorder = Recorder::new(dist.process_count());
-                let crashed = (0..dist.process_count()).map(|_| None).collect();
-                Ok(DsmSystem {
-                    net: NetBackend::Threaded(net),
-                    backend,
-                    dist,
-                    delivery,
-                    recorder,
-                    crashed,
-                })
+            ExecBackend::Simnet if !config.faults.crashes.is_empty() => {
+                return Err(DsmError::InvalidConfig {
+                    reason: "scheduled FaultPlan crash windows bypass DSM recovery; drive \
+                             crashes with DsmSystem::crash/restart (or a scenario \
+                             CrashSchedule) instead"
+                        .to_string(),
+                });
             }
+            ExecBackend::Threaded(_) if !config.faults.is_trivial() => {
+                return Err(DsmError::Unsupported {
+                    reason: "fault injection on the threaded backend (drops, duplicates, \
+                             and crash windows are simnet-only)"
+                        .to_string(),
+                });
+            }
+            _ => {}
         }
-    }
-
-    fn build_simnet(
-        dist: Distribution,
-        config: SimConfig,
-        backend: ExecBackend,
-    ) -> Result<Self, DsmError> {
-        if !config.faults.crashes.is_empty() {
-            return Err(DsmError::InvalidConfig {
-                reason: "scheduled FaultPlan crash windows bypass DSM recovery; drive crashes \
-                         with DsmSystem::crash/restart (or a scenario CrashSchedule) instead"
-                    .to_string(),
-            });
-        }
+        let processes = dist.process_count();
+        let topology = match &config.topology {
+            Some(t) if t.node_count() != processes => {
+                return Err(DsmError::InvalidConfig {
+                    reason: format!(
+                        "topology must have one node per process \
+                         ({} nodes for {processes} processes)",
+                        t.node_count()
+                    ),
+                });
+            }
+            Some(t) => t.clone(),
+            None => Topology::full_mesh(processes),
+        };
         let delivery = config.delivery;
         let nodes = P::build_nodes(&dist, delivery);
-        let topology = match &config.topology {
-            Some(t) => {
-                if t.node_count() != dist.process_count() {
-                    return Err(DsmError::InvalidConfig {
-                        reason: format!(
-                            "topology must have one node per process \
-                             ({} nodes for {} processes)",
-                            t.node_count(),
-                            dist.process_count()
-                        ),
-                    });
-                }
-                t.clone()
-            }
-            None => Topology::full_mesh(dist.process_count()),
-        };
-        let net = Transport::new(topology, config, nodes).map_err(|e| DsmError::InvalidConfig {
+        let invalid = |e: RouteError| DsmError::InvalidConfig {
             reason: e.to_string(),
-        })?;
-        let recorder = Recorder::new(dist.process_count());
-        let crashed = (0..dist.process_count()).map(|_| None).collect();
+        };
+        let net = match backend {
+            ExecBackend::Simnet => {
+                NetBackend::Sim(Simulator::new(topology, config, nodes).map_err(invalid)?)
+            }
+            ExecBackend::Threaded(mode) => NetBackend::Threaded(
+                ThreadedNet::new(mode, topology, config, nodes).map_err(invalid)?,
+            ),
+        };
         Ok(DsmSystem {
-            net: NetBackend::Sim(net),
+            net,
             backend,
             dist,
             delivery,
-            recorder,
-            crashed,
+            recorder: Recorder::new(processes),
+            crashed: (0..processes).map(|_| None).collect(),
         })
     }
 
@@ -249,15 +227,10 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         }
     }
 
-    /// Whether sends are relayed over shortest paths (sparse topology or
-    /// forced routing) rather than delivered on direct links. On the
-    /// threaded backend a routed deployment hosts relay nodes on the
-    /// worker threads.
+    /// Whether sends are relayed over shortest paths (any topology
+    /// sparser than a full mesh) rather than delivered on direct links.
     pub fn is_routed(&self) -> bool {
-        match &self.net {
-            NetBackend::Sim(net) => net.is_routed(),
-            NetBackend::Threaded(net) => net.is_routed(),
-        }
+        !self.topology().is_full_mesh()
     }
 
     /// The wire delivery mode (multicast / batching) this deployment runs
@@ -357,23 +330,16 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// is parked and redelivered at restart. Operations issued by a
     /// crashed process fail with [`DsmError::Crashed`].
     pub fn crash(&mut self, p: ProcId) -> Result<(), DsmError> {
-        if self.backend.is_threaded() {
-            return Err(DsmError::Unsupported {
-                reason: "crash/restart on the threaded backend (worker threads cannot lose \
-                         in-flight channel messages deterministically yet)"
-                    .to_string(),
-            });
-        }
+        let net = simulator(&mut self.net)?;
         if p.index() >= self.dist.process_count() {
             return Err(DsmError::UnknownProcess { proc: p });
         }
         if self.crashed[p.index()].is_some() {
             return Err(DsmError::Crashed { proc: p });
         }
-        self.crashed[p.index()] = Some(self.snapshot(p));
-        if let NetBackend::Sim(net) = &mut self.net {
-            net.set_down(NodeId(p.index()));
-        }
+        let id = NodeId(p.index());
+        self.crashed[p.index()] = Some(net.node(id).clone());
+        net.set_down(id);
         Ok(())
     }
 
@@ -385,32 +351,24 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// protocol's gap-tolerant sequence numbers require catch-up traffic
     /// not to race with new writes).
     pub fn restart(&mut self, p: ProcId) -> Result<(), DsmError> {
-        if self.backend.is_threaded() {
-            return Err(DsmError::Unsupported {
-                reason: "crash/restart on the threaded backend (worker threads cannot lose \
-                         in-flight channel messages deterministically yet)"
-                    .to_string(),
-            });
-        }
+        let net = simulator(&mut self.net)?;
         if p.index() >= self.dist.process_count() {
             return Err(DsmError::UnknownProcess { proc: p });
         }
         let snapshot = self.crashed[p.index()]
             .take()
             .ok_or(DsmError::Crashed { proc: p })?;
-        let NetBackend::Sim(net) = &mut self.net else {
-            unreachable!("threaded backends never crash a process");
-        };
-        net.set_up(NodeId(p.index()));
-        *net.node_mut(NodeId(p.index())) = snapshot;
-        net.try_with_node(NodeId(p.index()), |node, ctx| node.on_restart(ctx))?;
+        let id = NodeId(p.index());
+        net.set_up(id);
+        *net.node_mut(id) = snapshot;
+        net.try_with_node(id, |node, ctx| node.on_restart(ctx))?;
         net.try_run_until_quiescent()?;
         Ok(())
     }
 
-    /// Envelopes currently parked at a crashed process (transit traffic
-    /// awaiting its restart; 0 on direct transports and on the threaded
-    /// backend, which has no crashes).
+    /// Packets currently parked at a crashed process (transit traffic
+    /// awaiting its restart; 0 on a full mesh, for an unknown process,
+    /// and on the threaded backend, which has no crashes).
     pub fn parked_messages(&self, p: ProcId) -> usize {
         match &self.net {
             NetBackend::Sim(net) => net.parked_count(NodeId(p.index())),
@@ -919,6 +877,7 @@ mod tests {
             sys.crash(ProcId(9)),
             Err(DsmError::UnknownProcess { proc: ProcId(9) })
         );
+        assert_eq!(sys.parked_messages(ProcId(9)), 0);
         assert_eq!(
             sys.read(ProcId(0), VarId(0)),
             Err(DsmError::Crashed { proc: ProcId(0) })

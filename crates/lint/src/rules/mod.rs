@@ -21,6 +21,7 @@ mod wire_accounting;
 pub use crate_hygiene::CrateHygiene;
 pub use layering::Layering;
 pub use no_alloc_in_hot_path::NoAllocInHotPath;
+pub(crate) use no_panic_in_delivery::stale_scope;
 pub use no_panic_in_delivery::NoPanicInDelivery;
 pub use no_unordered_state::NoUnorderedState;
 pub use no_unseeded_rng::NoUnseededRng;

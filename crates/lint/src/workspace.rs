@@ -20,7 +20,8 @@ pub struct Outcome {
     pub diagnostics: Vec<Diagnostic>,
     /// Violations suppressed by a justified allowlist entry.
     pub suppressed: Vec<Diagnostic>,
-    /// Allowlist format errors and stale entries — these also fail.
+    /// Allowlist format errors, stale allowlist entries and stale
+    /// delivery-spine scope entries — these also fail.
     pub errors: Vec<String>,
     /// Number of source files scanned.
     pub files_scanned: usize,
@@ -120,6 +121,7 @@ pub fn run_workspace(root: &Path) -> Outcome {
     let (allow, mut errors) = Allowlist::parse(&allow_text);
     let (unsuppressed, suppressed, stale) = allow.apply(diags);
     errors.extend(stale);
+    errors.extend(crate::rules::stale_scope(&sources));
     Outcome {
         diagnostics: unsuppressed,
         suppressed,

@@ -26,15 +26,14 @@
 //!   additionally carry their own idempotence guards (stale sequence
 //!   numbers and already-covered vector clocks are discarded), which the
 //!   crash-recovery path exercises for real.
-//! * **Crashes** take a node down for a window. What happens to traffic
-//!   addressed to a down node is the node's own policy
-//!   ([`crate::node::Node::while_down`]): protocol deliveries are **lost**
-//!   (the MCS process is dead; its catch-up handshake re-requests them on
-//!   restart), while a [`crate::route::Relay`] **parks** transit traffic
-//!   for redelivery at restart — third-party envelopes are never dropped
-//!   on the floor. If a parked envelope's host is crashed with no
-//!   scheduled restart, the simulator surfaces a typed [`FaultError`]
-//!   instead of losing it silently.
+//! * **Crashes** take a node down for a window. The net decides what
+//!   happens to traffic that reaches a down node: a packet the node is
+//!   the only remaining destination of is **lost** (the MCS process is
+//!   dead; its catch-up handshake re-requests it on restart), while
+//!   transit traffic is **parked** for redelivery at restart —
+//!   third-party packets are never dropped on the floor. If a parked
+//!   packet's host is crashed with no scheduled restart, the simulator
+//!   surfaces a typed [`FaultError`] instead of losing it silently.
 //!
 //! All fault randomness is drawn from a dedicated per-link RNG seeded
 //! from `(FaultPlan::seed, from, to)` — the latency RNG is untouched, so
@@ -144,21 +143,6 @@ impl FaultPlan {
     pub fn window_covering(&self, node: NodeId, at: SimTime) -> Option<&CrashWindow> {
         self.crashes.iter().find(|w| w.node == node && w.covers(at))
     }
-}
-
-/// What to do with a message delivered to a node that is down.
-///
-/// Chosen per payload by [`crate::node::Node::while_down`]: protocol
-/// deliveries default to [`DownAction::Lose`] (the process is dead and
-/// recovery is the protocol's catch-up obligation), while relays choose
-/// [`DownAction::Park`] for transit traffic so third-party envelopes
-/// survive the outage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DownAction {
-    /// The message is lost (counted per node, never delivered).
-    Lose,
-    /// The message is held and redelivered when the node restarts.
-    Park,
 }
 
 /// A message had to be parked at a node that is crashed with no scheduled

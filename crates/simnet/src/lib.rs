@@ -10,24 +10,26 @@
 //! simulator*:
 //!
 //! * [`time::SimTime`] — a virtual clock (nanosecond granularity).
-//! * [`message::Envelope`] — typed message envelopes with explicit payload
-//!   and control-metadata byte accounting (see [`message::WireSize`]).
+//! * [`message::WireSize`] — explicit payload and control-metadata byte
+//!   accounting for every message.
 //! * [`channel::Channel`] and [`channel::LatencyModel`] — reliable FIFO
 //!   links with constant or seeded-jitter latency.
 //! * [`network::Topology`] — which pairs of nodes may communicate (full
 //!   mesh, ring, grid, star, line, or arbitrary directed link sets).
 //! * [`node::Node`] — the trait protocol state machines implement.
 //! * [`sim::Simulator`] — the event-driven driver (run to quiescence,
-//!   bounded runs, deterministic tie-breaking).
-//! * [`route::Router`] / [`route::Relay`] — overlay routing: BFS
-//!   shortest-path tables and relay envelopes that let any-to-any
-//!   protocols run on sparse topologies.
-//! * [`transport::Transport`] — the send surface drivers use instead of
-//!   the raw simulator; picks direct or routed delivery per
-//!   [`transport::RoutingMode`].
+//!   bounded runs, deterministic tie-breaking). It routes inside itself:
+//!   any node may send to any other on every strongly connected
+//!   topology, and [`sim::DeliveryMode`] picks how fan-outs travel.
+//! * [`threaded::ThreadedNet`] — the same nodes on one OS thread each,
+//!   over a ring fabric whose worker loop routes exactly as the
+//!   simulator does.
+//! * [`route::Router`] — overlay routing: BFS shortest-path tables and
+//!   broadcast trees, plus the forwarding rules both nets share.
+//! * [`fault::FaultPlan`] — seeded link drops and duplicates and node
+//!   crash windows beneath the protocols.
 //! * [`stats::NetworkStats`] — per-link and per-node counters used by the
 //!   benchmark harness to quantify "control information" overhead.
-//! * [`trace::EventTrace`] — optional structured trace of every delivery.
 //!
 //! Determinism: given the same nodes, the same latency model seed, and the
 //! same sequence of external injections, a simulation run is bit-for-bit
@@ -51,21 +53,17 @@ pub mod sim;
 pub mod stats;
 pub mod threaded;
 pub mod time;
-pub mod trace;
-pub mod transport;
 
 pub use backend::{ExecBackend, ThreadedMode};
 pub use channel::{Channel, LatencyModel, Transmission};
 pub use event::{Event, EventKind, EventQueue};
-pub use fault::{CrashWindow, DownAction, FaultError, FaultPlan};
-pub use message::{Envelope, NodeId, Payload, WireSize};
+pub use fault::{CrashWindow, FaultError, FaultPlan};
+pub use message::{NodeId, Payload, WireSize};
 pub use network::Topology;
 pub use node::{Node, NodeContext, Outgoing};
 pub use pool::{BufferPool, PoolStats};
-pub use route::{Multicast, Packet, Relay, RouteError, Routed, Router};
-pub use sim::{RunOutcome, SendError, SimConfig, Simulator};
+pub use route::{RouteError, Router};
+pub use sim::{DeliveryMode, RunOutcome, SendError, SimConfig, Simulator};
 pub use stats::{LinkStats, NetworkStats, NodeStats};
-pub use threaded::{FabricStats, ThreadedNet, ThreadedTransport, WorkerDead};
+pub use threaded::{FabricStats, ThreadedNet, WorkerDead};
 pub use time::{SimDuration, SimTime};
-pub use trace::{EventTrace, TraceEntry};
-pub use transport::{DeliveryMode, RoutingMode, Transport};

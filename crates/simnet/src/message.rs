@@ -1,4 +1,4 @@
-//! Message envelopes and wire-size accounting.
+//! Node ids, queued payloads and wire-size accounting.
 //!
 //! The paper's notion of "efficiency" is about **control information**: how
 //! much protocol metadata a process must carry and propagate about variables
@@ -8,7 +8,6 @@
 //! bytes* (timestamps, vector clocks, dependency summaries, sequence
 //! numbers...). The statistics module aggregates both per link and per node.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -60,41 +59,6 @@ pub trait WireSize {
     /// Total bytes on the wire.
     fn total_bytes(&self) -> usize {
         self.data_bytes() + self.control_bytes()
-    }
-}
-
-/// A message in flight between two nodes.
-///
-/// `P` is the protocol-defined payload type.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope<P> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
-    /// Virtual time at which the message was handed to the channel.
-    pub sent_at: SimTime,
-    /// Per-sender send sequence number (assigned by the simulator, used for
-    /// FIFO ordering and deterministic tie-breaking).
-    pub seq: u64,
-    /// Protocol payload.
-    pub payload: P,
-}
-
-impl<P: WireSize> Envelope<P> {
-    /// Data bytes carried by this envelope's payload.
-    pub fn data_bytes(&self) -> usize {
-        self.payload.data_bytes()
-    }
-
-    /// Control bytes carried by this envelope's payload.
-    pub fn control_bytes(&self) -> usize {
-        self.payload.control_bytes()
-    }
-
-    /// Total payload bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.payload.total_bytes()
     }
 }
 
@@ -226,20 +190,6 @@ mod tests {
         assert_eq!(p.data_bytes(), 10);
         assert_eq!(p.control_bytes(), 32);
         assert_eq!(p.total_bytes(), 42);
-    }
-
-    #[test]
-    fn envelope_delegates_sizes() {
-        let env = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            sent_at: SimTime::ZERO,
-            seq: 0,
-            payload: RawPayload::new(4, 8),
-        };
-        assert_eq!(env.data_bytes(), 4);
-        assert_eq!(env.control_bytes(), 8);
-        assert_eq!(env.total_bytes(), 12);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! [`NodeContext`] handle through which a node sends messages and requests
 //! timers during a callback.
 
-use crate::fault::DownAction;
 use crate::message::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -10,12 +9,12 @@ use crate::time::{SimDuration, SimTime};
 /// or one payload addressed to a whole destination set.
 ///
 /// The distinction is *advisory*: a multi-destination entry is logically
-/// identical to sending the payload to each destination in order, and the
-/// raw [`Simulator`](crate::sim::Simulator) expands it exactly that way.
-/// The transport layer, however, may exploit the grouping — under a
-/// multicast [`DeliveryMode`](crate::transport::DeliveryMode) one envelope
-/// carrying the destination set is deduplicated along the sender's
-/// broadcast tree so the payload traverses each tree edge once.
+/// identical to sending the payload to each destination in order, and a
+/// full mesh expands it exactly that way. A sparse net, however, may
+/// exploit the grouping — under a multicast
+/// [`DeliveryMode`](crate::sim::DeliveryMode) one copy carrying the
+/// destination set is deduplicated along the sender's broadcast tree so
+/// the payload traverses each tree edge once.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Outgoing<P> {
     /// A unicast send to one destination.
@@ -108,7 +107,7 @@ impl<P> NodeContext<P> {
     /// payload exactly once — so every wire strategy agrees on what is
     /// delivered. Beyond that this is logically identical to calling
     /// [`NodeContext::send`] once per target (in order); protocols must
-    /// not depend on anything stronger. The transport may carry the group
+    /// not depend on anything stronger. The net may carry the group
     /// as a single deduplicated envelope per broadcast-tree edge when
     /// multicast delivery is enabled, which is why fan-outs of an
     /// identical payload should prefer this entry point over a send loop.
@@ -162,7 +161,7 @@ impl<P> NodeContext<P> {
     }
 
     /// Consume the context, returning the buffered transmissions and timer
-    /// requests (used by the routing layer to re-address sends).
+    /// requests (used by the nets to put them on the wire).
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_parts(self) -> (Vec<Outgoing<P>>, Vec<(SimDuration, u64)>) {
         (self.outbox, self.timers)
@@ -181,16 +180,6 @@ pub trait Node<P> {
 
     /// Called when a timer set via [`NodeContext::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut NodeContext<P>, _tag: u64) {}
-
-    /// What the simulator should do with `payload` when it is delivered
-    /// while this node is crashed. The default loses the message — a dead
-    /// process cannot receive, and recovering the information is the
-    /// protocol's catch-up obligation on restart. Relays override this to
-    /// park transit traffic ([`DownAction::Park`]) so third-party
-    /// envelopes survive the outage.
-    fn while_down(&self, _payload: &P) -> DownAction {
-        DownAction::Lose
-    }
 }
 
 #[cfg(test)]

@@ -1,51 +1,40 @@
 //! Overlay routing: run any-to-any protocols on sparse topologies.
 //!
 //! The MCS protocols of the paper assume a logical full mesh — any process
-//! may message any other. On a sparse [`Topology`] a direct send between
-//! non-neighbours would fail with a [`SendError`](crate::sim::SendError);
-//! this module is the one layer that converts that failure into a *routing
-//! decision* instead:
+//! may message any other. The nets ([`Simulator`](crate::sim::Simulator)
+//! and [`ThreadedNet`](crate::threaded::ThreadedNet)) honour that on any
+//! strongly connected [`Topology`] by routing inside themselves, with the
+//! pieces in this module:
 //!
 //! * [`Router`] — per-source BFS shortest-path trees over the topology,
 //!   exposing next-hop lookup ([`Router::next_hop`]), hop counts, and the
 //!   per-source broadcast tree ([`Router::tree_parent`],
-//!   [`Router::tree_children`]).
-//! * [`Routed`] — the relay envelope: the protocol payload plus its logical
-//!   source and destination, so intermediate nodes can forward it hop by
-//!   hop. Its [`WireSize`] delegates to the payload, so a one-hop routed
-//!   send accounts exactly the same bytes as a direct send (the routed
-//!   full-mesh configuration reproduces direct-send statistics exactly);
-//!   multi-hop paths pay the payload again on every hop, which is precisely
-//!   the relaying cost the statistics should show.
-//! * [`Relay`] — a [`Node`] wrapper hosting a protocol state machine on a
-//!   routed network: outgoing messages are addressed to the BFS next hop,
-//!   transit envelopes are forwarded without touching the inner protocol,
-//!   and envelopes that arrive at their destination are delivered to the
-//!   inner node as if they had come straight from the logical source.
-//!
-//! * [`Multicast`] — the wire-efficient fan-out envelope: **one** payload
-//!   plus a destination set. It is deduplicated along the logical source's
-//!   broadcast tree: each relay delivers locally if it is a destination,
-//!   splits the remaining set among the subtrees that contain them, and
-//!   forwards one copy per subtree — so the payload traverses each tree
-//!   edge at most once, instead of once per destination as a unicast
-//!   fan-out would.
-//! * [`Packet`] — what actually travels a routed network: a unicast
-//!   [`Routed`] envelope or a [`Multicast`] one.
+//!   [`Router::tree_children`]). A full mesh needs none: there the next
+//!   hop is the destination.
+//! * `Packet` — what one channel hop carries: the bare payload when the
+//!   hop is the whole route, or the payload boxed with its logical
+//!   source and the destination (or destination set) it still serves.
+//!   The addressing is free on the wire, so a one-hop send accounts
+//!   exactly what a direct send does, and a multi-hop path pays the
+//!   payload again on every hop — precisely the relaying cost the
+//!   statistics should show.
+//! * `launch` and `arrive` — the forwarding rules both nets share. A
+//!   unicast travels hop by hop along [`Router::next_hop`]; under a
+//!   multicast [`DeliveryMode`](crate::sim::DeliveryMode) one payload
+//!   addressed to a destination set is split along the source's
+//!   broadcast tree, so it crosses each tree edge at most once instead of
+//!   once per destination. Intermediate nodes forward without waking
+//!   their protocol node.
 //!
 //! Every hop is a real channel send, so per-hop latency and per-hop
 //! [`NetworkStats`](crate::stats::NetworkStats) accounting come from the
-//! simulator unchanged; a [`Multicast`] envelope's bytes are accounted
-//! once per tree edge it crosses, which is exactly the wire saving the
-//! efficiency tables measure.
+//! net unchanged.
 
-use crate::fault::DownAction;
-use crate::message::{NodeId, WireSize};
+use crate::message::NodeId;
 use crate::network::Topology;
-use crate::node::{Node, NodeContext, Outgoing};
+use crate::node::Outgoing;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a [`Router`] could not be built for a topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,178 +196,79 @@ impl Router {
     }
 }
 
-/// The relay envelope: a protocol payload in transit from `src` to `dst`,
-/// possibly through intermediate nodes.
+/// Where a routed copy of a payload is still headed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Routed<P> {
-    /// The logical sender (the protocol node that issued the send).
-    pub src: NodeId,
-    /// The logical destination (where the payload will be delivered).
-    pub dst: NodeId,
-    /// The protocol payload.
-    pub payload: P,
+pub(crate) enum Dst {
+    /// A single destination, reached hop by hop along
+    /// [`Router::next_hop`].
+    One(NodeId),
+    /// A destination set served by one copy, deduplicated along the
+    /// source's broadcast tree: each node on the way delivers locally if
+    /// it is a destination and forwards one copy per subtree that still
+    /// holds destinations, so the payload crosses each tree edge at most
+    /// once.
+    Many(Vec<NodeId>),
 }
 
-impl<P: WireSize> WireSize for Routed<P> {
-    fn data_bytes(&self) -> usize {
-        self.payload.data_bytes()
-    }
-    fn control_bytes(&self) -> usize {
-        // The relay header (src, dst) rides for free: the simulator's
-        // accounting is the protocol's own notion of what it would send,
-        // and a direct send already implies addressing. Keeping the
-        // envelope free makes the routed full mesh byte-identical to
-        // direct sends; multi-hop cost shows up as the payload being
-        // charged once per hop.
-        self.payload.control_bytes()
-    }
-}
-
-/// The multicast envelope: **one** payload in transit from `src` to a set
-/// of destinations, deduplicated along `src`'s broadcast tree.
-///
-/// Where a unicast fan-out pays the payload once per destination per hop,
-/// a multicast envelope pays it once per broadcast-tree edge: a relay
-/// splits the destination set among the subtrees containing them and
-/// forwards one copy per subtree. Destination sets shrink monotonically
-/// toward the leaves, and every destination receives the payload exactly
-/// once.
+/// A copy with further to go than one hop, or a tree-split copy: the
+/// payload plus the logical addressing the net routes it by.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Multicast<P> {
-    /// The logical sender (whose broadcast tree the envelope follows).
-    pub src: NodeId,
-    /// The destinations still to be served by this copy.
-    pub dsts: Vec<NodeId>,
-    /// The protocol payload (one copy, shared by all destinations).
-    pub payload: P,
+pub(crate) struct Routed<Q> {
+    /// The node that issued the send (the sender its destinations see).
+    pub(crate) src: NodeId,
+    /// The destinations this copy still serves.
+    pub(crate) dst: Dst,
+    /// The payload.
+    pub(crate) payload: Q,
 }
 
-impl<P: WireSize> WireSize for Multicast<P> {
-    fn data_bytes(&self) -> usize {
-        self.payload.data_bytes()
-    }
-    fn control_bytes(&self) -> usize {
-        // Like the `Routed` header, the destination set rides for free —
-        // addressing is implied by a send in the protocol's own
-        // accounting. The payload is charged once per tree edge the
-        // envelope crosses (each forward is a real channel send), which
-        // is precisely the deduplicated wire cost.
-        self.payload.control_bytes()
-    }
-}
-
-/// What travels the wire of a routed network: a unicast relay envelope or
-/// a tree-deduplicated multicast one.
+/// What one channel hop carries. The addressing rides for free — the
+/// wire is charged for the payload alone, on every hop — so a one-hop
+/// send accounts exactly what a direct send does and a multi-hop path
+/// pays the payload once per link it crosses.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Packet<P> {
-    /// A point-to-point envelope relayed hop by hop.
-    One(Routed<P>),
-    /// A shared-payload envelope forwarded along the source's broadcast
-    /// tree.
-    Many(Multicast<P>),
+pub(crate) enum Packet<Q> {
+    /// A payload whose hop is its whole route: the hop's sender is its
+    /// source and the hop's receiver its destination. Every send on a
+    /// full mesh travels so, with no addressing at all.
+    Direct(Q),
+    /// A payload that needs its addressing. Boxed, so a queued packet
+    /// is no larger than its payload; the box moves from hop to hop.
+    Routed(Box<Routed<Q>>),
 }
 
-impl<P: WireSize> WireSize for Packet<P> {
-    fn data_bytes(&self) -> usize {
+impl<Q> Packet<Q> {
+    fn routed(src: NodeId, dst: Dst, payload: Q) -> Self {
+        Packet::Routed(Box::new(Routed { src, dst, payload }))
+    }
+
+    /// The payload, wherever it sits.
+    pub(crate) fn payload(&self) -> &Q {
         match self {
-            Packet::One(env) => env.data_bytes(),
-            Packet::Many(env) => env.data_bytes(),
+            Packet::Direct(payload) => payload,
+            Packet::Routed(r) => &r.payload,
         }
     }
-    fn control_bytes(&self) -> usize {
+
+    /// Whether `node`, the receiver of this hop, is the only destination
+    /// this copy still serves. A down node loses such traffic (its
+    /// process is dead; catch-up recovers it) and parks everything
+    /// else: transit traffic belongs to other node pairs and must
+    /// survive the outage.
+    pub(crate) fn ends_at(&self, node: NodeId) -> bool {
         match self {
-            Packet::One(env) => env.control_bytes(),
-            Packet::Many(env) => env.control_bytes(),
+            Packet::Direct(_) => true,
+            Packet::Routed(r) => match &r.dst {
+                Dst::One(d) => *d == node,
+                Dst::Many(ds) => ds.iter().all(|&d| d == node),
+            },
         }
     }
 }
 
-/// A protocol node hosted on a routed (possibly sparse) network.
-///
-/// Wraps an inner [`Node`] so that its any-to-any sends become multi-hop
-/// relays: where the raw simulator would reject a send with a
-/// [`SendError`](crate::sim::SendError), the relay instead forwards the
-/// envelope to [`Router::next_hop`].
-#[derive(Clone, Debug)]
-pub struct Relay<N> {
-    inner: N,
-    me: NodeId,
-    router: Arc<Router>,
-    /// Whether multi-destination sends travel as tree-deduplicated
-    /// [`Multicast`] envelopes (`true`) or per-destination unicast
-    /// [`Routed`] envelopes (`false`).
-    multicast: bool,
-    forwarded: u64,
-    misrouted: u64,
-}
-
-impl<N> Relay<N> {
-    /// Host `inner` as node `me` on the routed network described by
-    /// `router`. When `multicast` is set, multi-destination sends are
-    /// deduplicated along `me`'s broadcast tree; otherwise they fan out
-    /// as independent unicast envelopes (the classical behaviour).
-    pub fn new(inner: N, me: NodeId, router: Arc<Router>, multicast: bool) -> Self {
-        Relay {
-            inner,
-            me,
-            router,
-            multicast,
-            forwarded: 0,
-            misrouted: 0,
-        }
-    }
-
-    /// The wrapped protocol node.
-    pub fn inner(&self) -> &N {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped protocol node.
-    pub fn inner_mut(&mut self) -> &mut N {
-        &mut self.inner
-    }
-
-    /// The routing tables this relay forwards with.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// Whether multi-destination sends are tree-deduplicated.
-    pub fn multicast_enabled(&self) -> bool {
-        self.multicast
-    }
-
-    /// Number of transit envelopes this node forwarded for other pairs.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Number of multicast destinations dropped because this node is not
-    /// on the envelope's broadcast-tree path to them. Always zero when
-    /// envelopes follow the tree the source split them on; a nonzero
-    /// count means an envelope was corrupted or injected out-of-band,
-    /// and the delivery path drops the stray destination (counting it
-    /// here) instead of tearing the whole simulation down.
-    pub fn misrouted(&self) -> u64 {
-        self.misrouted
-    }
-
-    /// Consume the relay, returning the wrapped node.
-    pub fn into_inner(self) -> N {
-        self.inner
-    }
-}
-
-/// Partition multicast destinations by their next hop, preserving input
-/// order within each group. One [`Multicast`] envelope is then emitted per
-/// group — this is the tree-splitting rule shared by the source (keyed by
-/// [`Router::next_hop`], which at the tree root *is* the broadcast-tree
-/// child) and by transit relays (keyed by [`Router::tree_next_hop`]), so
-/// the two stages can never disagree on how a destination set splits.
-/// Destinations whose hop is unknown (`hop` returns `None`) are dropped
-/// and tallied in the second return value rather than grouped — on the
-/// transit path that means a misrouted destination costs one counter
-/// bump, not a simulation-wide panic.
+/// Partition destinations by their hop, preserving input order within
+/// each group; destinations whose hop is unknown (`None`) are dropped and
+/// tallied in the second return value.
 fn group_by_hop(
     targets: impl IntoIterator<Item = NodeId>,
     mut hop: impl FnMut(NodeId) -> Option<NodeId>,
@@ -394,143 +284,115 @@ fn group_by_hop(
     (groups, lost)
 }
 
-/// Drain an inner context into an outer routed context: unicast sends are
-/// wrapped in [`Routed`] envelopes addressed to their first hop;
-/// multi-destination sends become one [`Multicast`] envelope per
-/// broadcast-tree child when `multicast` is enabled (and degrade to the
-/// unicast fan-out otherwise); timers pass through unchanged.
-pub(crate) fn route_outbox<P: Clone>(
-    router: &Router,
-    me: NodeId,
-    multicast: bool,
-    inner: NodeContext<P>,
-    outer: &mut NodeContext<Packet<P>>,
-) {
-    let (outbox, timers) = inner.into_parts();
-    let unicast = |outer: &mut NodeContext<Packet<P>>, to: NodeId, payload: P| {
-        outer.send(
-            router.next_hop(me, to),
-            Packet::One(Routed {
-                src: me,
-                dst: to,
-                payload,
-            }),
-        );
-    };
-    for out in outbox {
-        match out {
-            Outgoing::One(to, payload) => unicast(outer, to, payload),
-            Outgoing::Many(targets, payload) if !multicast => {
-                for to in targets {
-                    unicast(outer, to, payload.clone());
-                }
-            }
-            Outgoing::Many(targets, payload) => {
-                // One envelope per broadcast-tree child of the source,
-                // carrying the subset of targets inside that subtree.
-                // `next_hop` is total, so no destination can be lost here.
-                let (groups, _none_lost) =
-                    group_by_hop(targets, |to| Some(router.next_hop(me, to)));
-                for (first_hop, dsts) in groups {
-                    outer.send(
-                        first_hop,
-                        Packet::Many(Multicast {
-                            src: me,
-                            dsts,
-                            payload: payload.clone(),
-                        }),
-                    );
-                }
-            }
-        }
+/// The tree-splitting rule both nets share: one copy of `payload` per
+/// child of `at` in `src`'s broadcast tree that still has destinations
+/// below it, each carrying its subset of `dsts` (copies in child-id
+/// order, destinations in input order). At the source the child is the
+/// [`Router::next_hop`] (the same BFS trees, so unicast and multicast
+/// leave on the same link); further down it is
+/// [`Router::tree_next_hop`]. Without a router (a full mesh) every
+/// destination is its own child. Destinations `at` cannot reach inside
+/// `src`'s tree mean the copy strayed off its path: they are dropped and
+/// counted in the return value rather than tearing the run down.
+fn split<Q: Clone>(
+    router: Option<&Router>,
+    src: NodeId,
+    at: NodeId,
+    dsts: impl IntoIterator<Item = NodeId>,
+    payload: &Q,
+    out: &mut Vec<(NodeId, Packet<Q>)>,
+) -> u64 {
+    let (groups, lost) = group_by_hop(dsts, |d| match router {
+        None => Some(d),
+        Some(r) if at == src => Some(r.next_hop(src, d)),
+        Some(r) => r.tree_next_hop(src, at, d),
+    });
+    for (hop, dsts) in groups {
+        out.push((hop, Packet::routed(src, Dst::Many(dsts), payload.clone())));
     }
-    for (delay, tag) in timers {
-        outer.set_timer(delay, tag);
-    }
+    lost
 }
 
-impl<P, N> Node<Packet<P>> for Relay<N>
-where
-    P: WireSize + fmt::Debug + Clone,
-    N: Node<P>,
-{
-    fn on_start(&mut self, ctx: &mut NodeContext<Packet<P>>) {
-        let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-        self.inner.on_start(&mut inner_ctx);
-        route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
+/// Put one send of `src` on the wire: append to `out` its first-hop
+/// copies. A unicast takes its next hop (the destination itself without
+/// a router, so a send to oneself takes the loopback link) and travels
+/// [`Packet::Direct`] when that hop is its destination; a destination
+/// set travels as one tree-split [`Dst::Many`] copy per first hop when
+/// `multicast` is on and the net routes, and as one unicast copy per
+/// destination, in order, otherwise. Fails with the first destination
+/// the router does not know.
+pub(crate) fn launch<Q: Clone>(
+    router: Option<&Router>,
+    multicast: bool,
+    src: NodeId,
+    send: Outgoing<Q>,
+    out: &mut Vec<(NodeId, Packet<Q>)>,
+) -> Result<(), NodeId> {
+    let targets = match &send {
+        Outgoing::One(d, _) => std::slice::from_ref(d),
+        Outgoing::Many(ds, _) => ds.as_slice(),
+    };
+    if let Some(r) = router {
+        if let Some(&d) = targets.iter().find(|d| d.index() >= r.node_count()) {
+            return Err(d);
+        }
     }
-
-    fn on_message(&mut self, ctx: &mut NodeContext<Packet<P>>, _from: NodeId, packet: Packet<P>) {
-        match packet {
-            Packet::One(env) => {
-                if env.dst == self.me {
-                    let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-                    self.inner.on_message(&mut inner_ctx, env.src, env.payload);
-                    route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
-                } else {
-                    // Transit traffic: forward along the shortest path
-                    // without waking the protocol node.
-                    self.forwarded += 1;
-                    ctx.send(self.router.next_hop(self.me, env.dst), Packet::One(env));
-                }
-            }
-            Packet::Many(env) => {
-                let Multicast { src, dsts, payload } = env;
-                // Split the remaining destinations among the children of
-                // this node in `src`'s broadcast tree; one copy per child
-                // keeps the payload on each tree edge at most once.
-                let deliver_here = dsts.contains(&self.me);
-                // A destination this node cannot reach inside `src`'s
-                // broadcast tree means the envelope strayed off its
-                // splitting path; drop that destination and count it
-                // rather than panicking mid-delivery.
-                let (groups, lost) =
-                    group_by_hop(dsts.into_iter().filter(|&d| d != self.me), |d| {
-                        self.router.tree_next_hop(src, self.me, d)
-                    });
-                self.misrouted += lost;
-                for (next, dsts) in groups {
-                    self.forwarded += 1;
-                    ctx.send(
-                        next,
-                        Packet::Many(Multicast {
-                            src,
-                            dsts,
-                            payload: payload.clone(),
-                        }),
-                    );
-                }
-                if deliver_here {
-                    let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-                    self.inner.on_message(&mut inner_ctx, src, payload);
-                    route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
-                }
+    let unicast = |d: NodeId, payload: Q| {
+        let hop = router.map_or(d, |r| r.next_hop(src, d));
+        let packet = if hop == d {
+            Packet::Direct(payload)
+        } else {
+            Packet::routed(src, Dst::One(d), payload)
+        };
+        (hop, packet)
+    };
+    match send {
+        Outgoing::One(d, payload) => out.push(unicast(d, payload)),
+        Outgoing::Many(ds, payload) if multicast && router.is_some() => {
+            split(router, src, src, ds, &payload, out);
+        }
+        Outgoing::Many(ds, payload) => {
+            if let Some((&last, rest)) = ds.split_last() {
+                out.extend(rest.iter().map(|&d| unicast(d, payload.clone())));
+                out.push(unicast(last, payload));
             }
         }
     }
+    Ok(())
+}
 
-    fn on_timer(&mut self, ctx: &mut NodeContext<Packet<P>>, tag: u64) {
-        let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-        self.inner.on_timer(&mut inner_ctx, tag);
-        route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
-    }
-
-    /// While this relay's host is crashed, envelopes addressed to the
-    /// host itself are lost (the protocol process is dead; its catch-up
-    /// handshake recovers the information on restart) — but **transit**
-    /// traffic belongs to other node pairs and is parked for redelivery
-    /// at restart instead. A multicast envelope that serves any other
-    /// destination is transit too (its local copy then arrives late, and
-    /// the protocols' idempotence guards absorb the overlap with
-    /// catch-up). Parking at a node that never restarts surfaces a typed
-    /// [`FaultError`](crate::fault::FaultError) — the fix for the old
-    /// silent assumption that every received packet is deliverable.
-    fn while_down(&self, packet: &Packet<P>) -> DownAction {
-        match packet {
-            Packet::One(env) if env.dst == self.me => DownAction::Lose,
-            Packet::One(_) => DownAction::Park,
-            Packet::Many(m) if m.dsts.iter().all(|&d| d == self.me) => DownAction::Lose,
-            Packet::Many(_) => DownAction::Park,
+/// A copy that `at` received from `from`: append to `out` the copies
+/// `at` forwards (the next hop of a transit unicast, or one tree-split
+/// copy per subtree of a destination set), and return the local
+/// delivery — the logical sender and the payload — when `at` is itself
+/// a destination. The second value counts destinations dropped as
+/// misrouted (see [`split`]).
+pub(crate) fn arrive<Q: Clone>(
+    router: Option<&Router>,
+    from: NodeId,
+    at: NodeId,
+    packet: Packet<Q>,
+    out: &mut Vec<(NodeId, Packet<Q>)>,
+) -> (Option<(NodeId, Q)>, u64) {
+    let routed = match packet {
+        Packet::Direct(payload) => return (Some((from, payload)), 0),
+        Packet::Routed(routed) => routed,
+    };
+    match routed.dst {
+        Dst::One(d) if d != at => {
+            let hop = router.map_or(d, |r| r.next_hop(at, d));
+            out.push((hop, Packet::Routed(routed)));
+            (None, 0)
+        }
+        _ => {
+            let Routed { src, dst, payload } = *routed;
+            let Dst::Many(ds) = dst else {
+                return (Some((src, payload)), 0);
+            };
+            let here = ds.contains(&at);
+            let rest = ds.into_iter().filter(|&d| d != at);
+            let lost = split(router, src, at, rest, &payload, out);
+            (here.then_some((src, payload)), lost)
         }
     }
 }
@@ -538,8 +400,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::RawPayload;
-    use crate::time::SimTime;
 
     #[test]
     fn full_mesh_routes_are_all_direct() {
@@ -735,7 +595,7 @@ mod tests {
                         continue;
                     }
                     // Walk the unicast relay route: every hop re-resolved
-                    // from the current node's own table, as Relay does.
+                    // from the current node's own table, as the nets do.
                     let mut at = src;
                     let mut hop_by_hop = Vec::new();
                     while at != dst {
@@ -754,33 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_envelope_bytes_delegate_to_the_payload_once() {
-        let env = Multicast {
-            src: NodeId(0),
-            dsts: vec![NodeId(1), NodeId(2), NodeId(3)],
-            payload: RawPayload::new(8, 16),
-        };
-        // One payload on the wire regardless of how many destinations the
-        // envelope still serves.
-        assert_eq!(env.data_bytes(), 8);
-        assert_eq!(env.control_bytes(), 16);
-        let packet = Packet::Many(env);
-        assert_eq!(packet.total_bytes(), 24);
-    }
-
-    #[test]
-    fn routed_envelope_bytes_delegate_to_the_payload() {
-        let env = Routed {
-            src: NodeId(0),
-            dst: NodeId(3),
-            payload: RawPayload::new(8, 16),
-        };
-        assert_eq!(env.data_bytes(), 8);
-        assert_eq!(env.control_bytes(), 16);
-        assert_eq!(env.total_bytes(), 24);
-    }
-
-    #[test]
     fn singleton_topology_routes_trivially() {
         let r = Router::new(&Topology::full_mesh(1)).unwrap();
         assert_eq!(r.node_count(), 1);
@@ -788,46 +621,21 @@ mod tests {
         assert!(r.path(NodeId(0), NodeId(0)).is_empty());
     }
 
-    /// A no-op protocol node that records what reached it.
-    #[derive(Debug, Default)]
-    struct Sink {
-        received: Vec<NodeId>,
-    }
-
-    impl Node<RawPayload> for Sink {
-        fn on_message(&mut self, _ctx: &mut NodeContext<RawPayload>, from: NodeId, _p: RawPayload) {
-            self.received.push(from);
-        }
-    }
-
-    /// A multicast envelope delivered to a node that is not on its
-    /// broadcast-tree path (possible only if the envelope was corrupted
-    /// or injected out-of-band) must drop the stray destinations and
-    /// count them — never panic mid-delivery.
+    /// A multicast copy that reaches a node off its broadcast-tree path
+    /// (possible only if the packet was corrupted) delivers its local
+    /// copy and drops the stray destinations, counting them — it never
+    /// panics mid-delivery.
     #[test]
     fn misrouted_multicast_is_counted_not_fatal() {
-        let topo = Topology::ring(4);
-        let router = Arc::new(Router::new(&topo).unwrap());
+        let router = Router::new(&Topology::ring(4)).unwrap();
         // On ring(4), node 0's broadcast tree reaches 3 via the direct
         // edge 0→3, so node 2 is not an ancestor of 3 in that tree.
         assert_eq!(router.tree_next_hop(NodeId(0), NodeId(2), NodeId(3)), None);
-        let mut relay = Relay::new(Sink::default(), NodeId(2), router, true);
-        let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
-        relay.on_message(
-            &mut ctx,
-            NodeId(1),
-            Packet::Many(Multicast {
-                src: NodeId(0),
-                dsts: vec![NodeId(2), NodeId(3)],
-                payload: RawPayload::new(8, 4),
-            }),
-        );
-        // The local copy was delivered, the unreachable destination was
-        // dropped and tallied, and nothing was forwarded.
-        assert_eq!(relay.inner().received, vec![NodeId(0)]);
-        assert_eq!(relay.misrouted(), 1);
-        assert_eq!(relay.forwarded(), 0);
-        let (outbox, _) = ctx.into_parts();
-        assert!(outbox.is_empty());
+        let packet = Packet::routed(NodeId(0), Dst::Many(vec![NodeId(2), NodeId(3)]), 8u32);
+        let mut out = Vec::new();
+        let (local, lost) = arrive(Some(&router), NodeId(1), NodeId(2), packet, &mut out);
+        assert_eq!(local, Some((NodeId(0), 8)));
+        assert_eq!(lost, 1);
+        assert!(out.is_empty());
     }
 }

@@ -6,47 +6,42 @@
 //! simulation by injecting work into nodes with [`Simulator::with_node`] and
 //! then advancing virtual time with [`Simulator::run_until_quiescent`] or
 //! [`Simulator::step`].
+//!
+//! Any node may send to any other: the simulator routes inside itself.
+//! On a full mesh the next hop is the destination; on a sparser
+//! topology every logical send travels hop by hop over BFS shortest
+//! paths ([`crate::route`]), intermediate nodes forward it without
+//! waking their protocol node, and each hop is a real channel send with
+//! its own latency and accounting.
 
 use crate::channel::{Channel, LatencyModel};
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::{DownAction, FaultError, FaultPlan};
+use crate::fault::{FaultError, FaultPlan};
 use crate::message::{NodeId, Payload, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::pool::{BufferPool, PoolStats};
+use crate::route::{self, Packet, RouteError, Router};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventTrace, TraceEntry};
-use crate::transport::{DeliveryMode, RoutingMode};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::rc::Rc;
 
 /// Why the simulator could not carry a message.
 ///
-/// The raw [`Simulator`] never relays: a send over a missing link
-/// surfaces [`SendError::NoLink`] (or panics with its message, in the
-/// infallible entry points). The routing layer ([`crate::route`]) is the
-/// only place that converts a missing link into a routing decision —
-/// anything built on [`Transport`](crate::transport::Transport) never
-/// sees that variant on a connected topology. [`SendError::Fault`] is
-/// the fault layer's loud failure: a message had to be parked at a node
-/// that is crashed with no scheduled restart (see
+/// Routing never fails on a topology the simulator accepted (it is
+/// strongly connected by construction). [`SendError::Fault`] is the
+/// fault layer's loud failure: a message had to be parked at a node that
+/// is crashed with no scheduled restart (see
 /// [`crate::fault::FaultError`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendError {
-    /// A send was addressed to a node pair the topology does not link.
-    NoLink {
-        /// The node that attempted the send.
-        from: NodeId,
-        /// The unreachable destination.
-        to: NodeId,
-    },
     /// A message required a node that is permanently crashed.
     Fault(FaultError),
-    /// An operation named a node id the simulator does not host. The
-    /// public constructors make this unreachable for ids obtained from
-    /// the topology; it exists so the delivery hot path can report a
-    /// corrupted id instead of panicking mid-simulation.
+    /// An operation named a node id the simulator does not host: a send
+    /// addressed outside the topology, or a corrupted id the delivery
+    /// hot path reports instead of panicking mid-simulation.
     UnknownNode {
         /// The out-of-range node id.
         node: NodeId,
@@ -56,10 +51,6 @@ pub enum SendError {
 impl fmt::Display for SendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SendError::NoLink { from, to } => write!(
-                f,
-                "node {from} attempted to send to {to} but the topology has no such link"
-            ),
             SendError::Fault(e) => e.fmt(f),
             SendError::UnknownNode { node } => {
                 write!(
@@ -79,6 +70,134 @@ impl From<FaultError> for SendError {
     }
 }
 
+/// The wire-efficiency knobs of a deployment: how identical-payload
+/// fan-outs travel, and whether protocols may batch control records.
+///
+/// The default (`unicast`, unbatched) reproduces the classical behaviour
+/// exactly — one envelope per destination, one control record per write —
+/// so existing runs stay bit-identical. The other modes are the
+/// wire-efficiency layer this crate measures:
+///
+/// * `multicast` — a [`NodeContext::send_multi`] group travels as one
+///   copy per broadcast-tree edge instead of one copy per destination
+///   per hop. Only a sparse net can share edges; on a full mesh every
+///   destination is one private link away, so the fan-out stays one
+///   copy per destination.
+/// * `batching` — protocols that emit per-destination control records
+///   (the partially replicated causal protocol) may buffer them per
+///   destination, piggyback them on the next data update to that
+///   destination, and delta-encode batches, instead of paying a full
+///   control message per record. A bounded flush (a zero-delay timer plus
+///   a batch-size cap) guarantees quiescence still drains every record.
+/// * `delta` — vector-clock-carrying protocols (the causal pair) charge
+///   the wire for a sparse delta encoding of each clock against the
+///   writer's previous write (the `dsm` crate's `DeltaVc`) instead of
+///   the dense `8n` bytes. Writes touch few entries between
+///   broadcasts, so the encoded size collapses from `O(n)` to `O(changed
+///   entries)`; a dense fallback caps it at the classical size.
+///
+/// Delivery modes never change *what* is delivered — histories, settled
+/// replica contents, and per-destination control-record counts are
+/// pinned equal across all modes by differential tests — only what
+/// the wire pays for it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct DeliveryMode {
+    /// Deduplicate identical-payload fan-outs along broadcast trees.
+    pub multicast: bool,
+    /// Allow protocols to batch and piggyback control records.
+    pub batching: bool,
+    /// Charge vector clocks at their delta-encoded wire size.
+    #[serde(default)]
+    pub delta: bool,
+}
+
+impl DeliveryMode {
+    /// One envelope per destination, one control record per write — the
+    /// classical baseline (the default).
+    pub const UNICAST: DeliveryMode = DeliveryMode {
+        multicast: false,
+        batching: false,
+        delta: false,
+    };
+    /// Tree multicast, unbatched control records.
+    pub const MULTICAST: DeliveryMode = DeliveryMode {
+        multicast: true,
+        batching: false,
+        delta: false,
+    };
+    /// Unicast fan-out, batched/piggybacked control records.
+    pub const BATCHED: DeliveryMode = DeliveryMode {
+        multicast: false,
+        batching: true,
+        delta: false,
+    };
+    /// Tree multicast and batched control records.
+    pub const MULTICAST_BATCHED: DeliveryMode = DeliveryMode {
+        multicast: true,
+        batching: true,
+        delta: false,
+    };
+    /// Unicast fan-out, unbatched, delta-encoded vector clocks.
+    pub const DELTA: DeliveryMode = DeliveryMode {
+        multicast: false,
+        batching: false,
+        delta: true,
+    };
+    /// Every wire optimization at once: tree multicast, batched control
+    /// records, and delta-encoded vector clocks.
+    pub const MULTICAST_BATCHED_DELTA: DeliveryMode = DeliveryMode {
+        multicast: true,
+        batching: true,
+        delta: true,
+    };
+
+    /// All swept delivery modes, baseline first (the sweep order used by
+    /// benchmark tables).
+    pub const ALL: [DeliveryMode; 6] = [
+        DeliveryMode::UNICAST,
+        DeliveryMode::MULTICAST,
+        DeliveryMode::BATCHED,
+        DeliveryMode::MULTICAST_BATCHED,
+        DeliveryMode::DELTA,
+        DeliveryMode::MULTICAST_BATCHED_DELTA,
+    ];
+
+    /// Short label used in tables and benchmark ids.
+    pub fn label(self) -> &'static str {
+        match (self.multicast, self.batching, self.delta) {
+            (false, false, false) => "unicast",
+            (true, false, false) => "multicast",
+            (false, true, false) => "batched",
+            (true, true, false) => "multicast-batched",
+            (false, false, true) => "delta",
+            (true, false, true) => "multicast-delta",
+            (false, true, true) => "batched-delta",
+            (true, true, true) => "multicast-batched-delta",
+        }
+    }
+
+    /// Parse a [`DeliveryMode::label`] back into a mode (any of the eight
+    /// knob combinations, not just the swept [`DeliveryMode::ALL`] set).
+    pub fn parse(label: &str) -> Option<DeliveryMode> {
+        let unswept = [
+            DeliveryMode {
+                multicast: true,
+                batching: false,
+                delta: true,
+            },
+            DeliveryMode {
+                multicast: false,
+                batching: true,
+                delta: true,
+            },
+        ];
+        DeliveryMode::ALL
+            .into_iter()
+            .chain(unswept)
+            .find(|m| m.label() == label)
+    }
+}
+
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -86,25 +205,18 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// Seed for all channel RNGs.
     pub seed: u64,
-    /// If `Some(n)`, keep a trace of up to `n` entries.
-    pub trace_capacity: Option<usize>,
     /// Safety valve: abort the run after this many events (0 = unlimited).
     pub max_events: u64,
     /// Topology requested by the client. Drivers that build their own
     /// [`Simulator`] (like the DSM runtime) honour this; `None` means "use
     /// the driver's default" (a full mesh for the DSM protocols).
     pub topology: Option<Topology>,
-    /// Whether sends are relayed over shortest paths or must be direct
-    /// links. Only honoured by drivers that build a
-    /// [`Transport`](crate::transport::Transport) (like the DSM runtime);
-    /// a raw [`Simulator`] is always direct.
-    pub routing: RoutingMode,
     /// How identical-payload fan-outs travel the wire (tree multicast) and
     /// whether protocols may batch control records
     /// ([`DeliveryMode::default`] reproduces the classical one-envelope-
     /// per-destination, one-record-per-write behaviour exactly). Multicast
-    /// only changes the wire when sends are routed; a raw [`Simulator`]
-    /// and the direct transport always fan out per destination.
+    /// only changes the wire on a sparse topology; a full mesh always
+    /// fans out per destination.
     pub delivery: DeliveryMode,
     /// The fault schedule: seeded per-link drop/duplicate rates enforced
     /// by every channel, and per-node crash windows enforced in the
@@ -118,10 +230,8 @@ impl Default for SimConfig {
         SimConfig {
             latency: LatencyModel::default(),
             seed: 0xD5_0C0DE,
-            trace_capacity: None,
             max_events: 0,
             topology: None,
-            routing: RoutingMode::Auto,
             delivery: DeliveryMode::default(),
             faults: FaultPlan::default(),
         }
@@ -157,39 +267,70 @@ impl RunOutcome {
     }
 }
 
+/// One entry of the delivery schedule a threaded replay follows: how the
+/// named node acts next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Take the next packet off the link from `from` (deliver it, forward
+    /// it, or both).
+    Deliver {
+        /// The hop sender whose FIFO link supplies the packet.
+        from: NodeId,
+    },
+    /// Fire the pending timer with this tag.
+    Timer {
+        /// Tag passed back to [`Node::on_timer`].
+        tag: u64,
+    },
+}
+
+/// A packet as the event queue holds it.
+type Queued<P> = Packet<Payload<P>>;
+
 /// The simulator: nodes, channels, event queue, statistics.
 ///
 /// Channels are stored densely, one slot per ordered node pair indexed by
 /// `from * n + to`, so the per-send lookup on the hot path is a direct
 /// array access (channels are still created lazily on first use, because a
 /// full mesh over `n` nodes has `n·(n-1)` of them and most workloads touch
-/// only a fraction).
+/// only a fraction). A send to oneself takes the loopback slot.
 pub struct Simulator<P, N> {
     topology: Topology,
     config: SimConfig,
     nodes: Vec<N>,
+    /// Next-hop tables; `None` on a full mesh, where the next hop is the
+    /// destination.
+    router: Option<Router>,
     channels: Vec<Option<Channel>>,
-    /// Queued payloads are [`Payload`]-wrapped so one multicast fan-out
-    /// shares a single allocation across all of its delivery events.
-    queue: EventQueue<Payload<P>>,
+    /// Queued payloads are [`Payload`]-wrapped so one fan-out shares a
+    /// single allocation across all of its delivery events.
+    queue: EventQueue<Queued<P>>,
     now: SimTime,
     stats: NetworkStats,
-    trace: EventTrace,
     events_processed: u64,
+    /// Transit copies intermediate nodes forwarded.
+    forwarded: u64,
+    /// Multicast destinations dropped as off their broadcast-tree path.
+    misrouted: u64,
+    /// The delivery schedule a threaded replay follows, when recorded
+    /// (see [`Simulator::record_schedule`]).
+    schedule: Option<Vec<(NodeId, Step)>>,
     started: bool,
     /// Nodes taken down at runtime via [`Simulator::set_down`] (the
     /// scripted crash path; scheduled outages live in
     /// `config.faults.crashes`).
     manual_down: Vec<bool>,
-    /// Envelopes parked at runtime-crashed nodes, redelivered in order by
+    /// Packets parked at runtime-crashed nodes, redelivered in order by
     /// [`Simulator::set_up`].
-    parked: Vec<Vec<(NodeId, u64, Payload<P>)>>,
+    parked: Vec<Vec<(NodeId, u64, Queued<P>)>>,
     /// Recycled outbox buffers for delivery-path [`NodeContext`]s.
     outbox_pool: BufferPool<Outgoing<P>>,
     /// Recycled timer-request buffers for delivery-path [`NodeContext`]s.
     timer_pool: BufferPool<(SimDuration, u64)>,
     /// Recycled scratch buffers for the batched event drain.
-    batch_pool: BufferPool<Event<Payload<P>>>,
+    batch_pool: BufferPool<Event<Queued<P>>>,
+    /// Scratch list of the addressed copies one step puts on the wire.
+    hops: Vec<(NodeId, Queued<P>)>,
 }
 
 impl<P, N> Simulator<P, N>
@@ -198,14 +339,16 @@ where
     N: Node<P>,
 {
     /// Build a simulator over `topology` hosting `nodes` (one per topology
-    /// node, in id order).
+    /// node, in id order). A topology that is not a full mesh gets BFS
+    /// routing tables; it fails with [`RouteError::Disconnected`] unless
+    /// every node can reach every other.
     ///
     /// Panics if `nodes.len()` differs from the topology's node count, or
     /// if `config.topology` is set but disagrees with `topology` (drivers
     /// that resolve the configured topology themselves — like the DSM
     /// runtime — pass the resolved value in both places; a mismatch means
     /// the caller's intent would be silently dropped).
-    pub fn new(topology: Topology, config: SimConfig, nodes: Vec<N>) -> Self {
+    pub fn new(topology: Topology, config: SimConfig, nodes: Vec<N>) -> Result<Self, RouteError> {
         assert_eq!(
             nodes.len(),
             topology.node_count(),
@@ -217,28 +360,33 @@ where
                 "SimConfig.topology disagrees with the topology passed to Simulator::new"
             );
         }
-        let trace = match config.trace_capacity {
-            Some(cap) => EventTrace::with_capacity(cap),
-            None => EventTrace::disabled(),
+        let router = if topology.is_full_mesh() {
+            None
+        } else {
+            Some(Router::new(&topology)?)
         };
         let n = topology.node_count();
-        Simulator {
+        Ok(Simulator {
             topology,
             config,
             nodes,
+            router,
             channels: vec![None; n * n],
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             stats: NetworkStats::with_nodes(n),
-            trace,
             events_processed: 0,
+            forwarded: 0,
+            misrouted: 0,
+            schedule: None,
             started: false,
             manual_down: vec![false; n],
             parked: (0..n).map(|_| Vec::new()).collect(),
             outbox_pool: BufferPool::new(),
             timer_pool: BufferPool::new(),
             batch_pool: BufferPool::new(),
-        }
+            hops: Vec::new(),
+        })
     }
 
     /// Current virtual time.
@@ -273,9 +421,10 @@ where
     }
 
     /// Take `node` down at the current virtual time (the scripted crash
-    /// path, driven by the DSM runtime). Deliveries to a down node follow
-    /// its [`Node::while_down`] policy: lost (and counted) or parked for
-    /// redelivery at restart.
+    /// path, driven by the DSM runtime). Packets that arrive while it is
+    /// down are lost (and counted) when it is their only remaining
+    /// destination, and parked for redelivery at restart otherwise —
+    /// transit traffic belongs to other node pairs.
     pub fn set_down(&mut self, node: NodeId) {
         if let Some(flag) = self.manual_down.get_mut(node.index()) {
             *flag = true;
@@ -283,7 +432,7 @@ where
     }
 
     /// Bring a runtime-crashed node back up, redelivering every parked
-    /// envelope at the current virtual time in its original arrival
+    /// packet at the current virtual time in its original arrival
     /// order (the event queue's insertion-order tie-break preserves it).
     pub fn set_up(&mut self, node: NodeId) {
         if let Some(flag) = self.manual_down.get_mut(node.index()) {
@@ -307,9 +456,10 @@ where
         }
     }
 
-    /// Envelopes currently parked at a runtime-crashed node.
+    /// Packets currently parked at a runtime-crashed node (0 for a node
+    /// id the simulator does not host).
     pub fn parked_count(&self, node: NodeId) -> usize {
-        self.parked[node.index()].len()
+        self.parked.get(node.index()).map_or(0, Vec::len)
     }
 
     /// Number of hosted nodes.
@@ -317,9 +467,24 @@ where
         self.nodes.len()
     }
 
-    /// Accumulated network statistics.
+    /// Accumulated network statistics (per hop on a sparse topology).
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
+    }
+
+    /// Transit copies forwarded by intermediate nodes — the extra hops a
+    /// sparse topology pays compared to a full mesh (always 0 on one).
+    pub fn forwarded_messages(&self) -> u64 {
+        self.forwarded
+    }
+
+    /// Multicast destinations dropped because a copy strayed off its
+    /// broadcast-tree path. Always 0 when copies follow the tree they
+    /// were split on; a nonzero count means a packet was corrupted, and
+    /// the delivery path drops the stray destination instead of tearing
+    /// the whole simulation down.
+    pub fn misrouted_messages(&self) -> u64 {
+        self.misrouted
     }
 
     /// Combined buffer-pool counters (outbox + timer + event-batch
@@ -351,9 +516,19 @@ where
         )
     }
 
-    /// The event trace (empty if tracing is disabled).
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
+    /// Start recording the delivery schedule: one [`Step`] per delivery
+    /// and timer firing, in processing order.
+    pub(crate) fn record_schedule(&mut self) {
+        self.schedule = Some(Vec::new());
+    }
+
+    /// The schedule recorded since the previous call (empty when not
+    /// recording).
+    pub(crate) fn take_schedule(&mut self) -> Vec<(NodeId, Step)> {
+        self.schedule
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Total number of events processed since construction.
@@ -370,7 +545,7 @@ where
     /// Called automatically by the run methods; exposed for tests that want
     /// to inspect the state between start-up and the first delivery.
     ///
-    /// Panics if a start-up send targets a missing link (see
+    /// Panics if a start-up send cannot be carried (see
     /// [`Simulator::try_with_node`] for the error contract).
     pub fn start(&mut self) {
         self.try_start().unwrap_or_else(|e| panic!("{e}"));
@@ -396,9 +571,8 @@ where
     /// operations (reads/writes issued by application processes) enter the
     /// protocol.
     ///
-    /// Panics with a [`SendError`] message if `f` sent to a node pair the
-    /// topology does not link; use [`Simulator::try_with_node`] to handle
-    /// that case.
+    /// Panics with a [`SendError`] message if a send cannot be carried;
+    /// use [`Simulator::try_with_node`] to handle that case.
     pub fn with_node<R>(
         &mut self,
         id: NodeId,
@@ -408,10 +582,10 @@ where
     }
 
     /// Fallible variant of [`Simulator::with_node`]: returns the
-    /// [`SendError`] of the first buffered send that targets a missing
-    /// link. The node's state change still applies (the callback already
-    /// ran); its timers and the sends buffered before the offending one
-    /// are scheduled.
+    /// [`SendError`] of the first buffered send that names a node the
+    /// simulator does not host. The node's state change still applies
+    /// (the callback already ran); its timers and the sends buffered
+    /// before the offending one are scheduled.
     pub fn try_with_node<R>(
         &mut self,
         id: NodeId,
@@ -432,14 +606,14 @@ where
     /// queue is empty.
     ///
     /// Panics with a [`SendError`] message if the handled event caused a
-    /// send over a missing link; use [`Simulator::try_step`] to handle it.
+    /// failed send; use [`Simulator::try_step`] to handle it.
     pub fn step(&mut self) -> bool {
         self.try_step().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`Simulator::step`]: returns the [`SendError`]
-    /// of the first send over a missing link triggered by the handled
-    /// event (the event itself is still consumed).
+    /// of the first failed send triggered by the handled event (the event
+    /// itself is still consumed).
     pub fn try_step(&mut self) -> Result<bool, SendError> {
         self.try_start()?;
         let Some(event) = self.queue.pop() else {
@@ -452,7 +626,7 @@ where
     /// Handle one drained event: advance virtual time and dispatch to the
     /// destination node. Shared by the single-step path and the batched
     /// drain in [`Simulator::try_run_until_quiescent`].
-    fn process_event(&mut self, event: Event<Payload<P>>) -> Result<(), SendError> {
+    fn process_event(&mut self, event: Event<Queued<P>>) -> Result<(), SendError> {
         debug_assert!(event.at >= self.now, "time must not run backwards");
         self.now = event.at;
         self.events_processed += 1;
@@ -461,40 +635,50 @@ where
                 from,
                 to,
                 seq,
-                payload,
+                payload: packet,
             } => {
                 if self.is_down(to, self.now) {
-                    return self.handle_down_delivery(from, to, seq, payload);
+                    return self.handle_down_delivery(from, to, seq, packet);
                 }
+                let payload = packet.payload();
                 self.stats
                     .record_delivery(to, payload.data_bytes(), payload.control_bytes());
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEntry::Delivered {
-                        at: self.now,
-                        from,
-                        to,
-                        label: format!("{payload:?}"),
-                    });
+                if let Some(schedule) = &mut self.schedule {
+                    schedule.push((to, Step::Deliver { from }));
                 }
-                let mut ctx = self.recycled_context(to);
-                let node = self
-                    .nodes
-                    .get_mut(to.index())
-                    .ok_or(SendError::UnknownNode { node: to })?;
-                node.on_message(&mut ctx, from, payload.into_owned());
-                self.flush_context(to, ctx)?;
+                let mut hops = std::mem::take(&mut self.hops);
+                let (local, lost) =
+                    route::arrive(self.router.as_ref(), from, to, packet, &mut hops);
+                self.misrouted += lost;
+                self.forwarded += hops.len() as u64;
+                // A delivering node's timers are scheduled before the
+                // copies it forwards, and its own sends after them.
+                let mut outbox = None;
+                if let Some((src, payload)) = local {
+                    let mut ctx = self.recycled_context(to);
+                    let node = self
+                        .nodes
+                        .get_mut(to.index())
+                        .ok_or(SendError::UnknownNode { node: to })?;
+                    node.on_message(&mut ctx, src, payload.into_owned());
+                    let (sends, timers) = ctx.into_parts();
+                    self.schedule_timers(to, timers);
+                    outbox = Some(sends);
+                }
+                let forwarded = self.send_hops(to, &mut hops);
+                self.hops = hops;
+                forwarded?;
+                if let Some(sends) = outbox {
+                    self.send_outbox(to, sends)?;
+                }
             }
             EventKind::Timer { node, tag } => {
                 if self.is_down(node, self.now) {
                     // A crashed node's timers are volatile state: lost.
                     return Ok(());
                 }
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEntry::TimerFired {
-                        at: self.now,
-                        node,
-                        tag,
-                    });
+                if let Some(schedule) = &mut self.schedule {
+                    schedule.push((node, Step::Timer { tag }));
                 }
                 let mut ctx = self.recycled_context(node);
                 let state = self
@@ -512,54 +696,44 @@ where
         Ok(())
     }
 
-    /// Apply the destination node's [`Node::while_down`] policy to a
-    /// delivery that arrived while the node was crashed.
+    /// A packet arrived at a crashed node: lose it (and count the loss)
+    /// if the node is its only remaining destination, park it otherwise.
     fn handle_down_delivery(
         &mut self,
         from: NodeId,
         to: NodeId,
         seq: u64,
-        payload: Payload<P>,
+        packet: Queued<P>,
     ) -> Result<(), SendError> {
-        let action = self
-            .nodes
-            .get(to.index())
-            .ok_or(SendError::UnknownNode { node: to })?
-            .while_down(payload.value());
-        match action {
-            DownAction::Lose => {
-                self.stats.record_crash_loss(to);
-            }
-            DownAction::Park => {
-                if self.manual_down.get(to.index()).copied().unwrap_or(false) {
-                    // Runtime crash: restart time unknown; hold the
-                    // envelope until set_up redelivers it.
-                    self.parked
-                        .get_mut(to.index())
-                        .ok_or(SendError::UnknownNode { node: to })?
-                        .push((from, seq, payload));
-                } else {
-                    // Scheduled crash window: redeliver at the restart
-                    // boundary, or fail loudly if there is none — parked
-                    // transit traffic is never dropped on the floor.
-                    let restart = self
-                        .config
-                        .faults
-                        .window_covering(to, self.now)
-                        .and_then(|w| w.restart_at());
-                    match restart {
-                        Some(at) => self.queue.push(
-                            at,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                seq,
-                                payload,
-                            },
-                        ),
-                        None => return Err(SendError::Fault(FaultError { node: to })),
-                    }
-                }
+        if packet.ends_at(to) {
+            self.stats.record_crash_loss(to);
+        } else if self.manual_down.get(to.index()).copied().unwrap_or(false) {
+            // Runtime crash: restart time unknown; hold the packet until
+            // set_up redelivers it.
+            self.parked
+                .get_mut(to.index())
+                .ok_or(SendError::UnknownNode { node: to })?
+                .push((from, seq, packet));
+        } else {
+            // Scheduled crash window: redeliver at the restart boundary,
+            // or fail loudly if there is none — parked transit traffic is
+            // never dropped on the floor.
+            let restart = self
+                .config
+                .faults
+                .window_covering(to, self.now)
+                .and_then(|w| w.restart_at());
+            match restart {
+                Some(at) => self.queue.push(
+                    at,
+                    EventKind::Deliver {
+                        from,
+                        to,
+                        seq,
+                        payload: packet,
+                    },
+                ),
+                None => return Err(SendError::Fault(FaultError { node: to })),
             }
         }
         Ok(())
@@ -567,8 +741,8 @@ where
 
     /// Run until no events remain or the `max_events` budget is exhausted.
     ///
-    /// Panics with a [`SendError`] message on a send over a missing link;
-    /// use [`Simulator::try_run_until_quiescent`] to handle it.
+    /// Panics with a [`SendError`] message on a failed send; use
+    /// [`Simulator::try_run_until_quiescent`] to handle it.
     pub fn run_until_quiescent(&mut self) -> RunOutcome {
         self.try_run_until_quiescent()
             .unwrap_or_else(|e| panic!("{e}"))
@@ -615,88 +789,100 @@ where
         Ok(RunOutcome::Quiescent { events: processed })
     }
 
-    /// Run until virtual time reaches `deadline` or the system quiesces.
-    /// Events scheduled strictly after `deadline` remain pending.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.start();
-        let mut processed = 0u64;
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Quiescent { events: processed },
-                Some(t) if t > deadline => return RunOutcome::Quiescent { events: processed },
-                Some(_) => {
-                    if self.config.max_events > 0 && processed >= self.config.max_events {
-                        return RunOutcome::Exhausted { events: processed };
-                    }
-                    self.step();
-                    processed += 1;
-                }
-            }
-        }
-    }
-
     /// Consume the simulator, returning its nodes (for post-run inspection)
     /// and the accumulated statistics.
-    pub fn into_parts(self) -> (Vec<N>, NetworkStats, EventTrace) {
-        (self.nodes, self.stats, self.trace)
+    pub fn into_parts(self) -> (Vec<N>, NetworkStats) {
+        (self.nodes, self.stats)
     }
 
+    /// Schedule what a callback of `origin` produced: its timers, then
+    /// its sends in order. The context's buffers return to the pools.
     fn flush_context(&mut self, origin: NodeId, ctx: NodeContext<P>) -> Result<(), SendError> {
-        let (mut outbox, mut timers) = ctx.into_parts();
+        let (outbox, timers) = ctx.into_parts();
         // Timers cannot fail; schedule them first so a SendError on a later
         // send never silently drops a timer the same callback requested.
+        self.schedule_timers(origin, timers);
+        self.send_outbox(origin, outbox)
+    }
+
+    fn schedule_timers(&mut self, origin: NodeId, mut timers: Vec<(SimDuration, u64)>) {
         for (delay, tag) in timers.drain(..) {
             self.queue
                 .push(self.now + delay, EventKind::Timer { node: origin, tag });
         }
         self.timer_pool.release(timers);
-        // The raw simulator has no routing tables, so a multi-destination
-        // entry degrades to its definition: one delivery per destination,
-        // in order — but the fan-out's events share one payload
-        // allocation instead of cloning it per destination. Tree
-        // deduplication lives in the routed transport alone.
+    }
+
+    /// Put a callback's sends on the wire in order, each as its first-hop
+    /// copies (see [`route::launch`]). A fan-out's copies share one
+    /// payload allocation instead of cloning it per destination.
+    fn send_outbox(
+        &mut self,
+        origin: NodeId,
+        mut outbox: Vec<Outgoing<P>>,
+    ) -> Result<(), SendError> {
+        let mut hops = std::mem::take(&mut self.hops);
         let mut result = Ok(());
         for out in outbox.drain(..) {
-            result = match out {
-                Outgoing::One(to, payload) => {
-                    self.send_message(origin, to, Payload::Owned(payload))
-                }
+            let send = match out {
+                Outgoing::One(to, payload) => Outgoing::One(to, Payload::Owned(payload)),
                 Outgoing::Many(targets, payload) => {
-                    let shared = Rc::new(payload);
-                    let mut fanned = Ok(());
-                    for to in targets {
-                        fanned = self.send_message(origin, to, Payload::Shared(Rc::clone(&shared)));
-                        if fanned.is_err() {
-                            break;
-                        }
-                    }
-                    fanned
+                    Outgoing::Many(targets, Payload::Shared(Rc::new(payload)))
                 }
             };
+            result = route::launch(
+                self.router.as_ref(),
+                self.config.delivery.multicast,
+                origin,
+                send,
+                &mut hops,
+            )
+            .map_err(|node| SendError::UnknownNode { node })
+            .and_then(|()| self.send_hops(origin, &mut hops));
             if result.is_err() {
                 break;
             }
         }
+        hops.clear();
+        self.hops = hops;
         self.outbox_pool.release(outbox);
         result
+    }
+
+    /// Send every addressed copy in `hops` from `from`, in order.
+    fn send_hops(
+        &mut self,
+        from: NodeId,
+        hops: &mut Vec<(NodeId, Queued<P>)>,
+    ) -> Result<(), SendError> {
+        for (to, packet) in hops.drain(..) {
+            self.send_message(from, to, packet)?;
+        }
+        Ok(())
     }
 
     fn send_message(
         &mut self,
         from: NodeId,
         to: NodeId,
-        payload: Payload<P>,
+        packet: Queued<P>,
     ) -> Result<(), SendError> {
-        if !self.topology.connected(from, to) {
-            return Err(SendError::NoLink { from, to });
+        let n = self.topology.node_count();
+        if to.index() >= n {
+            return Err(SendError::UnknownNode { node: to });
         }
-        let bytes = payload.total_bytes();
-        let slot = from.index() * self.topology.node_count() + to.index();
+        let payload = packet.payload();
+        let (bytes, data, control) = (
+            payload.total_bytes(),
+            payload.data_bytes(),
+            payload.control_bytes(),
+        );
+        let slot = from.index() * n + to.index();
         let config = &self.config;
         let channel_slot = self
             .channels
             .get_mut(slot)
-            .ok_or(SendError::UnknownNode { node: to })?;
+            .ok_or(SendError::UnknownNode { node: from })?;
         let channel = channel_slot.get_or_insert_with(|| {
             Channel::with_faults(
                 from,
@@ -708,7 +894,6 @@ where
         });
         let transmission = channel.transmit(self.now, bytes);
         let seq = channel.sent_count();
-        let (data, control) = (payload.data_bytes(), payload.control_bytes());
         self.stats.record_send(from, to, data, control);
         self.stats
             .record_retransmits(from, to, transmission.drops, data, control);
@@ -716,22 +901,13 @@ where
             self.stats.record_duplicate(from, to, data, control);
             self.queue.push(at, EventKind::Duplicate { from, to });
         }
-        if self.trace.is_enabled() {
-            self.trace.record(TraceEntry::Sent {
-                at: self.now,
-                from,
-                to,
-                bytes,
-                label: format!("{payload:?}"),
-            });
-        }
         self.queue.push(
             transmission.delivery,
             EventKind::Deliver {
                 from,
                 to,
                 seq,
-                payload,
+                payload: packet,
             },
         );
         Ok(())
@@ -742,6 +918,7 @@ where
 mod tests {
     use super::*;
     use crate::message::RawPayload;
+    use crate::route::{Dst, Routed};
     use crate::time::SimDuration;
 
     /// A node that relays a token around the ring `k` times, counting hops.
@@ -784,7 +961,7 @@ mod tests {
                 remaining: if id == 0 { laps } else { 0 },
             })
             .collect();
-        Simulator::new(Topology::ring(n), SimConfig::default(), nodes)
+        Simulator::new(Topology::ring(n), SimConfig::default(), nodes).unwrap()
     }
 
     #[test]
@@ -816,7 +993,7 @@ mod tests {
                 remaining: if id == 0 { 100 } else { 0 },
             })
             .collect();
-        let mut sim = Simulator::new(Topology::ring(5), config, nodes);
+        let mut sim = Simulator::new(Topology::ring(5), config, nodes).unwrap();
         let outcome = sim.run_until_quiescent();
         assert_eq!(outcome, RunOutcome::Exhausted { events: 7 });
         assert!(sim.pending_events() > 0);
@@ -831,16 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_deadline_leaves_later_events_pending() {
-        let mut sim = ring_sim(4, 1);
-        sim.run_until(SimTime::from_micros(25));
-        assert!(sim.pending_events() > 0);
-        assert!(sim.now() <= SimTime::from_micros(25));
-        sim.run_until_quiescent();
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
     fn with_node_flushes_sends() {
         let mut sim = ring_sim(3, 0);
         sim.with_node(NodeId(2), |_n, ctx| {
@@ -852,12 +1019,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no such link")]
+    #[should_panic(expected = "does not host")]
     fn sending_outside_topology_panics() {
         let mut sim = ring_sim(5, 0);
         sim.with_node(NodeId(0), |_n, ctx| {
-            // 0 -> 2 is not a ring edge.
-            ctx.send(NodeId(2), RawPayload::new(1, 0));
+            // The ring has nodes 0..5 only.
+            ctx.send(NodeId(9), RawPayload::new(1, 0));
         });
     }
 
@@ -866,56 +1033,54 @@ mod tests {
         let mut sim = ring_sim(5, 0);
         let err = sim
             .try_with_node(NodeId(0), |_n, ctx| {
-                ctx.send(NodeId(2), RawPayload::new(1, 0));
+                ctx.send(NodeId(9), RawPayload::new(1, 0));
             })
             .unwrap_err();
-        assert_eq!(
-            err,
-            SendError::NoLink {
-                from: NodeId(0),
-                to: NodeId(2)
-            }
-        );
-        assert!(err.to_string().contains("n0"));
-        assert!(err.to_string().contains("n2"));
-        // Legal sends keep working afterwards.
+        assert_eq!(err, SendError::UnknownNode { node: NodeId(9) });
+        assert!(err.to_string().contains("n9"));
+        // A non-neighbour inside the topology is routed, not rejected, and
+        // legal sends keep working afterwards.
         let ok = sim.try_with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), RawPayload::new(1, 0));
+            ctx.send(NodeId(2), RawPayload::new(1, 0));
         });
         assert!(ok.is_ok());
         assert!(sim.try_run_until_quiescent().is_ok());
+        assert_eq!(sim.node(NodeId(2)).hops_seen, 1);
     }
 
     #[test]
-    fn trace_records_sends_and_deliveries() {
-        let config = SimConfig {
-            trace_capacity: Some(100),
-            ..SimConfig::default()
-        };
-        let nodes = (0..3)
-            .map(|id| RingRelay {
-                id,
-                n: 3,
-                hops_seen: 0,
-                remaining: if id == 0 { 1 } else { 0 },
-            })
-            .collect();
-        let mut sim = Simulator::new(Topology::ring(3), config, nodes);
+    fn replay_schedule_lists_deliveries_and_timers() {
+        #[derive(Debug, Default)]
+        struct Kick;
+        impl Node<RawPayload> for Kick {
+            fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {
+                ctx.set_timer(SimDuration::from_nanos(0), 9);
+            }
+        }
+        // On a line 0 — 1 — 2, a send 0 → 2 is a transit step at n1,
+        // then a delivery and a timer firing at n2.
+        let mut sim = Simulator::new(
+            Topology::line(3),
+            SimConfig::default(),
+            vec![Kick, Kick, Kick],
+        )
+        .unwrap();
+        assert!(sim.take_schedule().is_empty(), "not recording yet");
+        sim.record_schedule();
+        sim.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(2), RawPayload::new(1, 0));
+        });
         sim.run_until_quiescent();
-        let sent = sim
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, TraceEntry::Sent { .. }))
-            .count();
-        let delivered = sim
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, TraceEntry::Delivered { .. }))
-            .count();
-        assert_eq!(sent, 3);
-        assert_eq!(delivered, 3);
+        assert_eq!(
+            sim.take_schedule(),
+            vec![
+                (NodeId(1), Step::Deliver { from: NodeId(0) }),
+                (NodeId(2), Step::Deliver { from: NodeId(1) }),
+                (NodeId(2), Step::Timer { tag: 9 }),
+            ]
+        );
+        // Each call drains what was recorded since the previous one.
+        assert!(sim.take_schedule().is_empty());
     }
 
     #[test]
@@ -938,7 +1103,8 @@ mod tests {
             Topology::full_mesh(1),
             SimConfig::default(),
             vec![TimerNode::default()],
-        );
+        )
+        .unwrap();
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(0)).fired, vec![2, 1]);
         assert_eq!(sim.now(), SimTime::from_micros(5));
@@ -963,7 +1129,7 @@ mod tests {
                     remaining: if id == 0 { 4 } else { 0 },
                 })
                 .collect();
-            let mut sim = Simulator::new(Topology::ring(6), config, nodes);
+            let mut sim = Simulator::new(Topology::ring(6), config, nodes).unwrap();
             sim.run_until_quiescent();
             sim.now()
         };
@@ -975,7 +1141,7 @@ mod tests {
     fn into_parts_returns_nodes_and_stats() {
         let mut sim = ring_sim(3, 1);
         sim.run_until_quiescent();
-        let (nodes, stats, _trace) = sim.into_parts();
+        let (nodes, stats) = sim.into_parts();
         assert_eq!(nodes.len(), 3);
         assert_eq!(stats.total_messages(), 3);
     }
@@ -995,7 +1161,7 @@ mod tests {
                 remaining: if id == 0 { laps } else { 0 },
             })
             .collect();
-        Simulator::new(Topology::ring(n), config, nodes)
+        Simulator::new(Topology::ring(n), config, nodes).unwrap()
     }
 
     #[test]
@@ -1090,7 +1256,7 @@ mod tests {
             ctx.send(NodeId(1), RawPayload::new(8, 0));
         });
         sim.run_until_quiescent();
-        // Default while_down policy loses protocol deliveries.
+        // n1 was the only destination: the delivery is lost, not parked.
         assert_eq!(sim.node(NodeId(1)).hops_seen, 0);
         assert_eq!(sim.stats().total_crash_losses(), 1);
         assert_eq!(sim.parked_count(NodeId(1)), 0);
@@ -1104,64 +1270,72 @@ mod tests {
         assert_eq!(sim.node(NodeId(1)).hops_seen, 1);
     }
 
-    /// A node whose `while_down` policy parks everything (stands in for
-    /// the relay's transit-traffic policy).
+    /// Counts what reached it and from whom.
     #[derive(Debug, Default)]
-    struct Parker {
-        got: u64,
+    struct Sink {
+        got: Vec<(NodeId, usize)>,
     }
 
-    impl Node<RawPayload> for Parker {
-        fn on_message(&mut self, _: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {
-            self.got += 1;
+    impl Node<RawPayload> for Sink {
+        fn on_message(&mut self, _: &mut NodeContext<RawPayload>, from: NodeId, p: RawPayload) {
+            self.got.push((from, p.data));
         }
-        fn while_down(&self, _payload: &RawPayload) -> crate::fault::DownAction {
-            crate::fault::DownAction::Park
+    }
+
+    fn sinks(n: usize) -> Vec<Sink> {
+        (0..n).map(|_| Sink::default()).collect()
+    }
+
+    fn sink_net(topology: Topology, config: SimConfig) -> Simulator<RawPayload, Sink> {
+        let n = topology.node_count();
+        Simulator::new(topology, config, sinks(n)).unwrap()
+    }
+
+    fn crash_plan(node: usize, restart_after: Option<SimDuration>) -> SimConfig {
+        SimConfig {
+            faults: FaultPlan {
+                crashes: vec![CrashWindow {
+                    node: NodeId(node),
+                    at: SimTime::ZERO,
+                    restart_after,
+                }],
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
         }
     }
 
     #[test]
     fn parked_envelopes_are_redelivered_in_order_at_set_up() {
-        let mut sim = Simulator::new(
-            Topology::full_mesh(3),
-            SimConfig::default(),
-            vec![Parker::default(), Parker::default(), Parker::default()],
-        );
-        sim.set_down(NodeId(2));
+        // On a line 0 — 1 — 2, traffic 0 → 2 is transit at n1: a down n1
+        // parks it instead of losing it.
+        let mut sim = sink_net(Topology::line(3), SimConfig::default());
+        sim.set_down(NodeId(1));
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(2), RawPayload::new(1, 0));
             ctx.send(NodeId(2), RawPayload::new(2, 0));
         });
         sim.run_until_quiescent();
-        assert_eq!(sim.node(NodeId(2)).got, 0);
-        assert_eq!(sim.parked_count(NodeId(2)), 2);
-        sim.set_up(NodeId(2));
-        assert_eq!(sim.parked_count(NodeId(2)), 0);
+        assert!(sim.node(NodeId(2)).got.is_empty());
+        assert_eq!(sim.parked_count(NodeId(1)), 2);
+        assert_eq!(sim.stats().total_crash_losses(), 0);
+        sim.set_up(NodeId(1));
+        assert_eq!(sim.parked_count(NodeId(1)), 0);
         sim.run_until_quiescent();
-        assert_eq!(sim.node(NodeId(2)).got, 2);
+        assert_eq!(
+            sim.node(NodeId(2)).got,
+            vec![(NodeId(0), 1), (NodeId(0), 2)]
+        );
+        assert_eq!(sim.forwarded_messages(), 2);
+        // A node id the simulator does not host has nothing parked.
+        assert_eq!(sim.parked_count(NodeId(9)), 0);
     }
 
     #[test]
     fn parking_at_a_permanently_crashed_node_is_a_typed_fault() {
-        let plan = FaultPlan {
-            crashes: vec![CrashWindow {
-                node: NodeId(1),
-                at: SimTime::ZERO,
-                restart_after: None,
-            }],
-            ..FaultPlan::default()
-        };
-        let config = SimConfig {
-            faults: plan,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(
-            Topology::full_mesh(2),
-            config,
-            vec![Parker::default(), Parker::default()],
-        );
+        let mut sim = sink_net(Topology::line(3), crash_plan(1, None));
         sim.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), RawPayload::new(1, 0));
+            ctx.send(NodeId(2), RawPayload::new(1, 0));
         });
         let err = sim.try_run_until_quiescent().unwrap_err();
         assert_eq!(err, SendError::Fault(FaultError { node: NodeId(1) }));
@@ -1170,30 +1344,237 @@ mod tests {
 
     #[test]
     fn scheduled_crash_with_restart_redelivers_parked_traffic() {
-        let plan = FaultPlan {
-            crashes: vec![CrashWindow {
-                node: NodeId(1),
-                at: SimTime::ZERO,
-                restart_after: Some(SimDuration::from_micros(50)),
-            }],
-            ..FaultPlan::default()
-        };
-        let config = SimConfig {
-            faults: plan,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(
-            Topology::full_mesh(2),
-            config,
-            vec![Parker::default(), Parker::default()],
+        let mut sim = sink_net(
+            Topology::line(3),
+            crash_plan(1, Some(SimDuration::from_micros(50))),
         );
         sim.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), RawPayload::new(1, 0));
+            ctx.send(NodeId(2), RawPayload::new(1, 0));
         });
         sim.run_until_quiescent();
-        // Delivered at the restart boundary, not lost.
-        assert_eq!(sim.node(NodeId(1)).got, 1);
-        assert_eq!(sim.now(), SimTime::from_micros(50));
+        // Forwarded at the restart boundary, one more hop later delivered.
+        assert_eq!(sim.node(NodeId(2)).got, vec![(NodeId(0), 1)]);
+        assert_eq!(sim.now(), SimTime::from_micros(60));
         assert_eq!(sim.stats().total_crash_losses(), 0);
+    }
+
+    #[test]
+    fn full_mesh_builds_no_router() {
+        let mesh = sink_net(Topology::full_mesh(4), SimConfig::default());
+        assert!(mesh.router.is_none());
+        let ring = sink_net(Topology::ring(4), SimConfig::default());
+        assert!(ring.router.is_some());
+    }
+
+    #[test]
+    fn disconnected_topology_is_rejected_at_construction() {
+        let topo = Topology::explicit(3, [(0, 1), (1, 0)]);
+        let err = Simulator::new(topo, SimConfig::default(), sinks(3))
+            .err()
+            .unwrap();
+        assert!(matches!(err, RouteError::Disconnected { .. }));
+    }
+
+    #[test]
+    fn routed_delivery_crosses_multiple_hops() {
+        let mut sim = sink_net(Topology::ring(6), SimConfig::default());
+        // 0 → 3 is three ring hops away.
+        sim.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(3), RawPayload::new(8, 4));
+        });
+        sim.run_until_quiescent();
+        // Delivered once, attributed to the logical source.
+        assert_eq!(sim.node(NodeId(3)).got, vec![(NodeId(0), 8)]);
+        // Three hops on the wire: 0→1, 1→2, 2→3; two of them forwards.
+        assert_eq!(sim.stats().total_messages(), 3);
+        assert_eq!(sim.stats().total_data_bytes(), 3 * 8);
+        assert_eq!(sim.forwarded_messages(), 2);
+        assert_eq!(sim.misrouted_messages(), 0);
+        // Intermediate protocol nodes never saw the payload.
+        assert!(sim.node(NodeId(1)).got.is_empty());
+        assert!(sim.node(NodeId(2)).got.is_empty());
+    }
+
+    #[test]
+    fn multi_hop_delivery_pays_per_hop_latency() {
+        let mut sim = sink_net(Topology::line(4), SimConfig::default());
+        sim.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(3), RawPayload::new(1, 0));
+        });
+        sim.run_until_quiescent();
+        // Default constant latency is 10µs per hop; three hops.
+        assert_eq!(sim.now(), SimTime::from_micros(30));
+    }
+
+    fn multi_config(multicast: bool) -> SimConfig {
+        SimConfig {
+            delivery: if multicast {
+                DeliveryMode::MULTICAST
+            } else {
+                DeliveryMode::UNICAST
+            },
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn tree_multicast_pays_each_tree_edge_once_on_a_line() {
+        // 0 — 1 — 2 — 3: a broadcast from 0 shares the 0→1 and 1→2 edges.
+        let run = |multicast: bool| {
+            let mut sim = sink_net(Topology::line(4), multi_config(multicast));
+            sim.with_node(NodeId(0), |_n, ctx| {
+                ctx.send_multi([NodeId(1), NodeId(2), NodeId(3)], RawPayload::new(8, 4));
+            });
+            sim.run_until_quiescent();
+            for i in 1..4 {
+                assert_eq!(sim.node(NodeId(i)).got, vec![(NodeId(0), 8)], "node {i}");
+            }
+            (
+                sim.stats().total_messages(),
+                sim.stats().total_data_bytes(),
+                sim.forwarded_messages(),
+                sim.now(),
+            )
+        };
+        // Unicast fan-out: 1 + 2 + 3 = 6 envelopes on the wire.
+        assert_eq!(run(false), (6, 6 * 8, 3, SimTime::from_micros(30)));
+        // Tree multicast: one envelope per tree edge = 3.
+        assert_eq!(run(true), (3, 3 * 8, 2, SimTime::from_micros(30)));
+    }
+
+    #[test]
+    fn tree_multicast_from_a_star_leaf_shares_the_hub_edge() {
+        let n = 6;
+        let run = |multicast: bool| {
+            let mut sim = sink_net(Topology::star(n), multi_config(multicast));
+            // Leaf 1 broadcasts to everyone else (hub 0 + leaves 2..n).
+            sim.with_node(NodeId(1), |_n, ctx| {
+                ctx.send_multi(
+                    (0..n).filter(|&i| i != 1).map(NodeId),
+                    RawPayload::new(8, 4),
+                );
+            });
+            sim.run_until_quiescent();
+            for i in (0..n).filter(|&i| i != 1) {
+                assert_eq!(sim.node(NodeId(i)).got, vec![(NodeId(1), 8)], "node {i}");
+            }
+            sim.stats().total_messages()
+        };
+        // Unicast: 1 hop to the hub + 2 hops to each of the n-2 far
+        // leaves = 1 + 2(n-2).
+        assert_eq!(run(false), 1 + 2 * (n as u64 - 2));
+        // Multicast: the leaf→hub edge once, then one copy per far leaf.
+        assert_eq!(run(true), 1 + (n as u64 - 2));
+    }
+
+    #[test]
+    fn multicast_deliveries_match_unicast_deliveries_on_a_ring() {
+        let run = |multicast: bool| {
+            let mut sim = sink_net(Topology::ring(7), multi_config(multicast));
+            for src in 0..7usize {
+                sim.with_node(NodeId(src), |_n, ctx| {
+                    ctx.send_multi(
+                        (0..7).filter(|&i| i != src).map(NodeId),
+                        RawPayload::new(8, 4),
+                    );
+                });
+            }
+            sim.run_until_quiescent();
+            let (nodes, stats) = sim.into_parts();
+            (
+                nodes.into_iter().map(|s| s.got).collect::<Vec<_>>(),
+                stats.total_messages(),
+            )
+        };
+        let (unicast_got, unicast_msgs) = run(false);
+        let (multicast_got, multicast_msgs) = run(true);
+        // Every node hears the same broadcasts from the same sources…
+        assert_eq!(unicast_got, multicast_got);
+        // …while the wire carries strictly fewer envelopes.
+        assert!(
+            multicast_msgs < unicast_msgs,
+            "{multicast_msgs} vs {unicast_msgs}"
+        );
+    }
+
+    #[test]
+    fn timers_fire_on_a_sparse_net() {
+        #[derive(Debug, Default)]
+        struct TimerEcho {
+            fired: Vec<u64>,
+        }
+        impl Node<RawPayload> for TimerEcho {
+            fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
+                ctx.set_timer(SimDuration::from_micros(3), 7);
+            }
+            fn on_message(&mut self, _: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {}
+            fn on_timer(&mut self, _: &mut NodeContext<RawPayload>, tag: u64) {
+                self.fired.push(tag);
+            }
+        }
+        let mut sim = Simulator::new(
+            Topology::ring(4),
+            SimConfig::default(),
+            (0..4).map(|_| TimerEcho::default()).collect(),
+        )
+        .unwrap();
+        sim.run_until_quiescent();
+        for i in 0..4 {
+            assert_eq!(sim.node(NodeId(i)).fired, vec![7]);
+        }
+    }
+
+    /// A multicast copy that reaches a node off its broadcast-tree path
+    /// (possible only if the packet was corrupted) must drop the stray
+    /// destinations and count them — never panic mid-delivery.
+    #[test]
+    fn misrouted_multicast_is_counted_not_fatal() {
+        let mut sim = sink_net(Topology::ring(4), multi_config(true));
+        let router = sim.router.as_ref().unwrap();
+        // On ring(4), node 0's broadcast tree reaches 3 via the direct
+        // edge 0→3, so node 2 is not an ancestor of 3 in that tree.
+        assert_eq!(router.tree_next_hop(NodeId(0), NodeId(2), NodeId(3)), None);
+        sim.queue.push(
+            SimTime::ZERO,
+            EventKind::Deliver {
+                from: NodeId(1),
+                to: NodeId(2),
+                seq: 1,
+                payload: Packet::Routed(Box::new(Routed {
+                    src: NodeId(0),
+                    dst: Dst::Many(vec![NodeId(2), NodeId(3)]),
+                    payload: Payload::Owned(RawPayload::new(8, 4)),
+                })),
+            },
+        );
+        sim.run_until_quiescent();
+        // The local copy was delivered, the unreachable destination was
+        // dropped and tallied, and nothing was forwarded.
+        assert_eq!(sim.node(NodeId(2)).got, vec![(NodeId(0), 8)]);
+        assert!(sim.node(NodeId(3)).got.is_empty());
+        assert_eq!(sim.misrouted_messages(), 1);
+        assert_eq!(sim.forwarded_messages(), 0);
+        assert_eq!(sim.stats().total_messages(), 0);
+    }
+
+    #[test]
+    fn delivery_mode_labels_round_trip() {
+        for mode in DeliveryMode::ALL {
+            assert_eq!(DeliveryMode::parse(mode.label()), Some(mode));
+        }
+        assert_eq!(DeliveryMode::parse("nonsense"), None);
+        assert_eq!(DeliveryMode::default(), DeliveryMode::UNICAST);
+        assert_eq!(DeliveryMode::MULTICAST_BATCHED.label(), "multicast-batched");
+        assert_eq!(DeliveryMode::DELTA.label(), "delta");
+        assert_eq!(
+            DeliveryMode::MULTICAST_BATCHED_DELTA.label(),
+            "multicast-batched-delta"
+        );
+        // The two knob combinations outside the sweep still round-trip.
+        for label in ["multicast-delta", "batched-delta"] {
+            let mode = DeliveryMode::parse(label).unwrap();
+            assert_eq!(mode.label(), label);
+            assert!(mode.delta);
+        }
     }
 }

@@ -13,17 +13,17 @@
 //!
 //! Two modes, chosen by [`ThreadedMode`]:
 //!
-//! * **Replay** — the net embeds a [`Transport`] oracle (the exact
-//!   object the simnet backend runs on). Every local operation is
-//!   applied to the oracle *and* to the live worker; at settle time the
-//!   oracle runs to quiescence, its event trace is cut into a replay
-//!   window (one entry per delivery / timer firing, in oracle order),
-//!   and the workers execute the window step by step: a shared atomic
-//!   cursor serializes handler executions in oracle order while every
-//!   payload still crosses a real ring between real threads. Settled
-//!   values, histories, and control-record counts are therefore
-//!   bit-identical to a pure simnet run — that is what the differential
-//!   tests pin.
+//! * **Replay** — the net embeds a [`Simulator`] oracle (the exact
+//!   object the simnet backend runs on) that records its delivery
+//!   schedule. Every local operation is applied to the oracle *and* to
+//!   the live worker; at settle time the oracle runs to quiescence, the
+//!   schedule it recorded (one step per delivery, transit hop or timer
+//!   firing, in oracle order) becomes a replay window, and the workers
+//!   execute the window step by step: a shared atomic cursor serializes
+//!   handler executions in oracle order while every packet still crosses
+//!   a real ring between real threads. Settled values, histories, and
+//!   control-record counts are therefore bit-identical to a pure simnet
+//!   run — that is what the differential tests pin.
 //! * **FreeRunning** — no oracle. Sends go straight to the destination
 //!   ring and whole mailboxes are drained per wakeup (the batch lengths
 //!   land in [`FabricStats`]); quiescence is detected with the
@@ -45,29 +45,32 @@
 //! forever. Once any worker is dead the net is poisoned: every fallible
 //! operation reports the failure.
 //!
+//! Sparse topologies are routed by the worker loop itself, with the
+//! forwarding rules the simulator uses ([`crate::route`]): a packet that
+//! arrives at a worker is delivered to its node if the node is a
+//! destination, and forwarded one hop further — without waking the node
+//! — for every destination beyond it. The ring fabric is a full matrix
+//! either way; a sparse net just leaves the links off its topology idle.
+//!
 //! Remaining scope limits (the DSM layer turns these into typed errors):
 //! no fault injection, and no `on_start` hooks that emit messages or
-//! timers (none of the DSM protocols use them). Sparse topologies are
-//! supported by hosting [`Relay`](crate::route::Relay) nodes on the
-//! workers — see [`ThreadedTransport`].
+//! timers (none of the DSM protocols use them).
 //!
 //! Host time is confined to the [`clock`] watchdog module, the sole
 //! holder of the `no-wall-clock` lint exemption.
 
 pub(crate) mod clock;
-mod transport;
-
-pub use transport::ThreadedTransport;
 
 use crate::backend::ThreadedMode;
 use crate::chan::{fabric, CtlPost, InFlight, Mailbox, Post};
 use crate::message::{NodeId, WireSize};
+use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::pool::{BufferPool, PoolStats};
-use crate::sim::{RunOutcome, SimConfig};
+use crate::route::{self, Packet, RouteError, Router};
+use crate::sim::{RunOutcome, SimConfig, Simulator, Step};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::transport::{RoutingMode, Transport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -84,12 +87,6 @@ const ACK_YIELD_ROUNDS: usize = 64;
 /// (the wait itself returns as soon as the awaited message arrives; this
 /// only bounds how stale a death notice can get).
 const DEAD_POLL: Duration = Duration::from_millis(2);
-
-/// Trace capacity the replay oracle is configured with. The oracle's
-/// trace must hold every delivery of the run (the replay schedule is cut
-/// from it); overflow panics with a clear message rather than replaying
-/// a truncated schedule.
-const REPLAY_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Per-fabric contention and batching counters, merged across workers at
 /// settle time. The free-running numbers are nondeterministic (they
@@ -214,21 +211,6 @@ impl Drop for DeathSentinel {
     }
 }
 
-/// One step of a replay schedule: which node acts, and how.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Step {
-    /// Deliver the next buffered message from `from`.
-    Deliver {
-        /// Sender whose FIFO stream supplies the payload.
-        from: NodeId,
-    },
-    /// Fire the pending timer with this tag.
-    Timer {
-        /// Tag passed back to [`Node::on_timer`].
-        tag: u64,
-    },
-}
-
 /// A replay schedule plus the shared cursor that serializes it. Workers
 /// spin on `pos`; the worker named by `steps[pos]` executes the step and
 /// advances the cursor.
@@ -245,8 +227,9 @@ type InvokeFn<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
 /// Hot-path link messages: what travels on the SPSC rings. The sender is
 /// implied by the ring's lane, so no per-message sender field is paid.
 enum LinkMsg<P> {
-    /// A protocol payload (a real link message).
-    Deliver(P),
+    /// A protocol payload, with its addressing when it has further to
+    /// go than this hop (a real link message).
+    Deliver(Packet<P>),
     /// A free-running timer firing (posted by the owning worker itself
     /// on its self-link).
     Timer(u64),
@@ -273,11 +256,30 @@ enum Ctl<P, N> {
     Stop,
 }
 
-/// One worker's answer to [`Ctl::Collect`].
+/// One worker's answer to [`Ctl::Collect`], or several folded together.
 struct WorkerReport {
     stats: NetworkStats,
     pool: PoolStats,
     fabric: FabricStats,
+    forwarded: u64,
+}
+
+impl WorkerReport {
+    fn empty(n: usize) -> Self {
+        WorkerReport {
+            stats: NetworkStats::with_nodes(n),
+            pool: PoolStats::default(),
+            fabric: FabricStats::default(),
+            forwarded: 0,
+        }
+    }
+
+    fn merge(&mut self, other: WorkerReport) {
+        self.stats.merge(&other.stats);
+        self.pool.merge(other.pool);
+        self.fabric.merge(&other.fabric);
+        self.forwarded += other.forwarded;
+    }
 }
 
 /// Worker-thread state: the node it owns plus fabric ends and buffers.
@@ -285,6 +287,11 @@ struct Worker<P, N> {
     me: NodeId,
     mode: ThreadedMode,
     node: N,
+    /// Next-hop tables shared by every worker; `None` on a full mesh.
+    router: Option<Arc<Router>>,
+    /// Whether destination sets travel tree-split (see
+    /// [`route::launch`]).
+    multicast: bool,
     mailbox: Mailbox<LinkMsg<P>, Ctl<P, N>>,
     post: Post<LinkMsg<P>, Ctl<P, N>>,
     inflight: Arc<InFlight>,
@@ -295,6 +302,8 @@ struct Worker<P, N> {
     nodes_out: mpsc::Sender<(usize, N)>,
     stats: NetworkStats,
     fabric: FabricStats,
+    /// Transit copies this worker forwarded.
+    forwarded: u64,
     /// Recycled outbox buffers for handler contexts (satisfying the
     /// "threaded path reuses the `BufferPool`" plumbing: steady-state
     /// delivery stops allocating two `Vec`s per callback).
@@ -303,11 +312,13 @@ struct Worker<P, N> {
     /// Free-running: drained but not yet handled link messages, in
     /// arrival order (also the overflow backlog while a send stalls).
     pending: VecDeque<(NodeId, LinkMsg<P>)>,
-    /// Replay mode: per-sender FIFO of payloads received but not yet
+    /// Replay mode: per-sender FIFO of packets received but not yet
     /// scheduled by the oracle.
-    buffered: Vec<VecDeque<P>>,
+    buffered: Vec<VecDeque<Packet<P>>>,
     /// Replay mode: tags of timers set but not yet fired, in set order.
     pending_timers: Vec<u64>,
+    /// Scratch list of the addressed copies one step puts on the wire.
+    hops: Vec<(NodeId, Packet<P>)>,
 }
 
 impl<P, N> Worker<P, N>
@@ -321,8 +332,8 @@ where
             let drained = self.drain_links();
             while let Some((from, msg)) = self.pending.pop_front() {
                 match msg {
-                    LinkMsg::Deliver(payload) => {
-                        self.deliver(from, payload);
+                    LinkMsg::Deliver(packet) => {
+                        self.deliver(from, packet);
                         self.inflight.down();
                     }
                     LinkMsg::Timer(tag) => {
@@ -356,13 +367,7 @@ where
                         let _ = self.acks.send(());
                     }
                     Ctl::Collect => {
-                        let mut pool = self.outbox_pool.stats();
-                        pool.merge(self.timer_pool.stats());
-                        let _ = self.reports.send(WorkerReport {
-                            stats: self.stats.clone(),
-                            pool,
-                            fabric: self.fabric,
-                        });
+                        let _ = self.reports.send(self.report());
                     }
                     Ctl::Stop => {
                         // A run can end without a final settle (via
@@ -370,13 +375,7 @@ where
                         // last time so teardown can fold them into the
                         // coordinator's caches instead of losing every
                         // event since the previous settle.
-                        let mut pool = self.outbox_pool.stats();
-                        pool.merge(self.timer_pool.stats());
-                        let _ = self.reports.send(WorkerReport {
-                            stats: self.stats.clone(),
-                            pool,
-                            fabric: self.fabric,
-                        });
+                        let _ = self.reports.send(self.report());
                         let _ = self.nodes_out.send((self.me.index(), self.node));
                         return;
                     }
@@ -386,6 +385,18 @@ where
             if drained == 0 && self.pending.is_empty() {
                 self.mailbox.wait();
             }
+        }
+    }
+
+    /// This worker's counters, for the coordinator to merge.
+    fn report(&self) -> WorkerReport {
+        let mut pool = self.outbox_pool.stats();
+        pool.merge(self.timer_pool.stats());
+        WorkerReport {
+            stats: self.stats.clone(),
+            pool,
+            fabric: self.fabric,
+            forwarded: self.forwarded,
         }
     }
 
@@ -412,7 +423,7 @@ where
         for from in 0..self.buffered.len() {
             while let Some(msg) = self.mailbox.pop_from(NodeId(from)) {
                 match msg {
-                    LinkMsg::Deliver(payload) => self.buffered[from].push_back(payload),
+                    LinkMsg::Deliver(packet) => self.buffered[from].push_back(packet),
                     LinkMsg::Timer(_) => {
                         unreachable!("free-running timer message in replay mode")
                     }
@@ -433,14 +444,30 @@ where
         )
     }
 
-    /// Run the message handler and flush, with delivery-side accounting.
-    fn deliver(&mut self, from: NodeId, payload: P) {
+    /// Take one packet off the link from `from`, with delivery-side
+    /// accounting:
+    /// forward the copies bound beyond this node, then run the message
+    /// handler and flush if this node is a destination — the order the
+    /// simulator puts them on the wire.
+    fn deliver(&mut self, from: NodeId, packet: Packet<P>) {
+        let payload = packet.payload();
         self.stats
             .record_delivery(self.me, payload.data_bytes(), payload.control_bytes());
         self.events.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = self.context();
-        self.node.on_message(&mut ctx, from, payload);
-        self.flush(ctx);
+        let mut hops = std::mem::take(&mut self.hops);
+        // Every packet here was split by `route::launch`/`route::arrive`
+        // on its way, so none strays off its tree; the simulator is
+        // where a stray would be counted.
+        let (local, _misrouted) =
+            route::arrive(self.router.as_deref(), from, self.me, packet, &mut hops);
+        self.forwarded += hops.len() as u64;
+        self.send_hops(&mut hops);
+        self.hops = hops;
+        if let Some((src, payload)) = local {
+            let mut ctx = self.context();
+            self.node.on_message(&mut ctx, src, payload);
+            self.flush(ctx);
+        }
     }
 
     /// Run the timer handler and flush.
@@ -452,9 +479,9 @@ where
     }
 
     /// Schedule whatever a handler produced, mirroring the simulator's
-    /// flush: timers first, then the outbox in order, with `Many`
-    /// expanded to one link message per destination in target order.
-    /// The context's buffers return to the pools afterwards.
+    /// flush: timers first, then the outbox in order, each send as its
+    /// first-hop copies ([`route::launch`]). The context's buffers return
+    /// to the pools afterwards.
     fn flush(&mut self, ctx: NodeContext<P>) {
         let (mut outbox, mut timers) = ctx.into_parts();
         for (_delay, tag) in timers.drain(..) {
@@ -472,32 +499,29 @@ where
             }
         }
         self.timer_pool.release(timers);
+        let mut hops = std::mem::take(&mut self.hops);
         for out in outbox.drain(..) {
-            match out {
-                Outgoing::One(to, payload) => self.send_payload(to, payload),
-                Outgoing::Many(targets, payload) => {
-                    let last = targets.len().saturating_sub(1);
-                    for (k, to) in targets.into_iter().enumerate() {
-                        if k == last {
-                            self.send_payload(to, payload);
-                            break;
-                        }
-                        self.send_payload(to, payload.clone());
-                    }
-                }
-            }
+            let me = self.me;
+            route::launch(self.router.as_deref(), self.multicast, me, out, &mut hops)
+                .unwrap_or_else(|node| panic!("node {me} sent to unknown node {node}"));
+            self.send_hops(&mut hops);
         }
+        self.hops = hops;
         self.outbox_pool.release(outbox);
     }
 
-    /// Put one payload on the wire with send-side accounting.
-    fn send_payload(&mut self, to: NodeId, payload: P) {
-        self.stats
-            .record_send(self.me, to, payload.data_bytes(), payload.control_bytes());
-        if self.mode == ThreadedMode::FreeRunning {
-            self.inflight.up();
+    /// Put every addressed copy in `hops` on the wire, in order, with
+    /// send-side accounting.
+    fn send_hops(&mut self, hops: &mut Vec<(NodeId, Packet<P>)>) {
+        for (to, packet) in hops.drain(..) {
+            let payload = packet.payload();
+            self.stats
+                .record_send(self.me, to, payload.data_bytes(), payload.control_bytes());
+            if self.mode == ThreadedMode::FreeRunning {
+                self.inflight.up();
+            }
+            self.send_link(to, LinkMsg::Deliver(packet));
         }
-        self.send_link(to, LinkMsg::Deliver(payload));
     }
 
     /// Push a link message, absorbing our own backlog while the
@@ -575,8 +599,8 @@ where
             }
             match step {
                 Step::Deliver { from } => {
-                    let payload = self.next_delivery_from(from);
-                    self.deliver(from, payload);
+                    let packet = self.next_delivery_from(from);
+                    self.deliver(from, packet);
                 }
                 Step::Timer { tag } => {
                     if let Some(i) = self.pending_timers.iter().position(|&t| t == tag) {
@@ -589,8 +613,8 @@ where
         }
     }
 
-    /// Pop (or wait for) the next payload in `from`'s FIFO stream.
-    fn next_delivery_from(&mut self, from: NodeId) -> P {
+    /// Pop (or wait for) the next packet in `from`'s FIFO stream.
+    fn next_delivery_from(&mut self, from: NodeId) -> Packet<P> {
         let watchdog = clock::Watchdog::standard();
         loop {
             if let Some(p) = self.buffered[from.index()].pop_front() {
@@ -623,7 +647,7 @@ where
 {
     mode: ThreadedMode,
     n: usize,
-    topology: crate::network::Topology,
+    topology: Topology,
     ctl: CtlPost<LinkMsg<P>, Ctl<P, N>>,
     handles: Vec<Option<JoinHandle<()>>>,
     inflight: Arc<InFlight>,
@@ -640,11 +664,12 @@ where
     pool_cache: PoolStats,
     /// Merged per-worker fabric counters as of the last settle.
     fabric_cache: FabricStats,
-    /// Replay mode: the simnet transport whose delivery order the
-    /// threads follow. `None` in free-running mode.
-    oracle: Option<Transport<P, N>>,
-    /// Index of the first oracle trace entry not yet replayed.
-    trace_cursor: usize,
+    /// Merged per-worker forward counts as of the last settle
+    /// (free-running; replay reports the oracle's).
+    forwarded_cache: u64,
+    /// Replay mode: the simulator whose delivery schedule the threads
+    /// follow. `None` in free-running mode.
+    oracle: Option<Simulator<P, N>>,
     /// Worker event count at the end of the previous settle, so settle
     /// outcomes report per-call deltas like the simulator does.
     events_at_last_settle: u64,
@@ -655,51 +680,50 @@ where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Clone + Send + 'static,
 {
-    /// Spawn one worker thread per node over a full-mesh ring fabric —
-    /// the classical any-to-any deployment. See
-    /// [`ThreadedNet::with_topology`] for sparse topologies.
-    pub fn new(mode: ThreadedMode, config: SimConfig, nodes: Vec<N>) -> Self {
-        let n = nodes.len();
-        Self::with_topology(mode, crate::network::Topology::full_mesh(n), config, nodes)
-    }
-
-    /// Spawn one worker thread per node, with the replay oracle (if any)
-    /// built over `topology`. The ring fabric itself is always a full
-    /// matrix — unused links cost idle pre-allocated rings, nothing more
-    /// — so sparse deployments are realized by the *nodes* (relays that
-    /// only send to topology neighbours), exactly as in the simulator.
+    /// Spawn one worker thread per node, deployed over `topology`. A
+    /// topology that is not a full mesh gets BFS routing tables shared
+    /// by the workers (and the replay oracle, if any); it fails with
+    /// [`RouteError::Disconnected`] unless every node can reach every
+    /// other. The ring fabric itself is always a full matrix — unused
+    /// links cost idle pre-allocated rings, nothing more.
     ///
     /// `config` parameterizes the replay oracle (latency model, seed,
-    /// event budget); free-running mode only uses it for sizing. The
-    /// caller is responsible for rejecting configurations the threaded
-    /// backend does not support (fault injection) — the DSM layer maps
-    /// them to typed errors before getting here.
+    /// event budget) and the delivery mode; free-running mode only uses
+    /// it for the delivery mode. The caller is responsible for rejecting
+    /// configurations the threaded backend does not support (fault
+    /// injection) — the DSM layer maps them to typed errors before
+    /// getting here.
     ///
-    /// Panics if an `on_start` hook emits messages or timers: the
-    /// threaded backend supports only passive starts (all DSM protocol
-    /// nodes qualify).
-    pub fn with_topology(
+    /// Panics if `nodes.len()` differs from the topology's node count,
+    /// or if an `on_start` hook emits messages or timers: the threaded
+    /// backend supports only passive starts (all DSM protocol nodes
+    /// qualify).
+    pub fn new(
         mode: ThreadedMode,
-        topology: crate::network::Topology,
+        topology: Topology,
         config: SimConfig,
         mut nodes: Vec<N>,
-    ) -> Self {
+    ) -> Result<Self, RouteError> {
         let n = nodes.len();
         assert_eq!(topology.node_count(), n, "topology size mismatch");
+        let router = if topology.is_full_mesh() {
+            None
+        } else {
+            Some(Arc::new(Router::new(&topology)?))
+        };
+        let multicast = config.delivery.multicast;
         let oracle = match mode {
             ThreadedMode::Replay => {
-                let mut cfg = config;
-                cfg.topology = None;
-                cfg.routing = RoutingMode::Direct;
-                cfg.trace_capacity =
-                    Some(cfg.trace_capacity.unwrap_or(0).max(REPLAY_TRACE_CAPACITY));
+                let config = SimConfig {
+                    topology: None,
+                    ..config
+                };
                 // The oracle runs `on_start` on its own copies lazily;
                 // clone before the local `on_start` pass so every copy
                 // sees the hook exactly once.
-                Some(
-                    Transport::new(topology.clone(), cfg, nodes.clone())
-                        .expect("a direct transport never routes"),
-                )
+                let mut oracle = Simulator::new(topology.clone(), config, nodes.clone())?;
+                oracle.record_schedule();
+                Some(oracle)
             }
             ThreadedMode::FreeRunning => None,
         };
@@ -725,6 +749,8 @@ where
                 me: NodeId(i),
                 mode,
                 node,
+                router: router.clone(),
+                multicast,
                 mailbox,
                 post,
                 inflight: Arc::clone(&inflight),
@@ -735,11 +761,13 @@ where
                 nodes_out: node_tx.clone(),
                 stats: NetworkStats::with_nodes(n),
                 fabric: FabricStats::default(),
+                forwarded: 0,
                 outbox_pool: BufferPool::new(),
                 timer_pool: BufferPool::new(),
                 pending: VecDeque::new(),
                 buffered: std::iter::repeat_with(VecDeque::new).take(n).collect(),
                 pending_timers: Vec::new(),
+                hops: Vec::new(),
             };
             let sentinel_dead = Arc::clone(&dead);
             let handle = std::thread::Builder::new()
@@ -754,7 +782,7 @@ where
                 .expect("spawn worker thread");
             handles.push(Some(handle));
         }
-        ThreadedNet {
+        Ok(ThreadedNet {
             mode,
             n,
             topology,
@@ -769,10 +797,10 @@ where
             stats_cache: NetworkStats::with_nodes(n),
             pool_cache: PoolStats::default(),
             fabric_cache: FabricStats::default(),
+            forwarded_cache: 0,
             oracle,
-            trace_cursor: 0,
             events_at_last_settle: 0,
-        }
+        })
     }
 
     /// The scheduling mode this net was built with.
@@ -785,9 +813,9 @@ where
         self.n
     }
 
-    /// The topology this net was deployed over (the replay oracle's
-    /// topology; the ring fabric itself is always a full matrix).
-    pub fn topology(&self) -> &crate::network::Topology {
+    /// The topology this net was deployed over (the ring fabric itself
+    /// is always a full matrix).
+    pub fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -841,7 +869,7 @@ where
     }
 
     /// Run a closure against a node, scheduling whatever it sends — the
-    /// threaded counterpart of [`Transport::with_node`]. In replay mode
+    /// threaded counterpart of [`Simulator::with_node`]. In replay mode
     /// the closure is applied to the oracle's copy first (to keep the
     /// schedule source in lock-step), then to the live worker; the
     /// worker's result is returned, so callers always observe the
@@ -1004,8 +1032,8 @@ where
 
     /// Drive the net to quiescence.
     ///
-    /// Replay: run the oracle to quiescence, cut the new slice of its
-    /// trace into a replay window, execute it on the workers, refresh
+    /// Replay: run the oracle to quiescence, turn the schedule it
+    /// recorded into a replay window, execute it on the workers, refresh
     /// the stats cache from the oracle. Free-running: wait for the
     /// in-flight counter to reach zero, then merge worker stats.
     ///
@@ -1022,26 +1050,7 @@ where
             ThreadedMode::Replay => {
                 let oracle = self.oracle.as_mut().expect("replay mode has an oracle");
                 let outcome = oracle.run_until_quiescent();
-                let trace = oracle.trace();
-                assert_eq!(
-                    trace.dropped(),
-                    0,
-                    "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
-                     this run is too large for replay mode — use free-running"
-                );
-                let steps: Vec<(NodeId, Step)> = trace.entries()[self.trace_cursor..]
-                    .iter()
-                    .filter_map(|e| match *e {
-                        crate::trace::TraceEntry::Delivered { from, to, .. } => {
-                            Some((to, Step::Deliver { from }))
-                        }
-                        crate::trace::TraceEntry::TimerFired { node, tag, .. } => {
-                            Some((node, Step::Timer { tag }))
-                        }
-                        crate::trace::TraceEntry::Sent { .. } => None,
-                    })
-                    .collect();
-                self.trace_cursor = trace.entries().len();
+                let steps = oracle.take_schedule();
                 if !steps.is_empty() {
                     let window = Arc::new(ReplayWindow {
                         steps,
@@ -1081,17 +1090,13 @@ where
         for i in 0..self.n {
             self.ctl.to(NodeId(i), Ctl::Collect);
         }
-        let mut stats = NetworkStats::with_nodes(self.n);
-        let mut pool = PoolStats::default();
-        let mut fabric = FabricStats::default();
+        let mut merged = WorkerReport::empty(self.n);
         let watchdog = clock::Watchdog::standard();
         let mut got = 0;
         while got < self.n {
             match self.reports.recv_timeout(DEAD_POLL) {
                 Ok(report) => {
-                    stats.merge(&report.stats);
-                    pool.merge(report.pool);
-                    fabric.merge(&report.fabric);
+                    merged.merge(report);
                     got += 1;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1105,10 +1110,16 @@ where
                 }
             }
         }
-        self.stats_cache = stats;
-        self.pool_cache = pool;
-        self.fabric_cache = fabric;
+        self.store(merged);
         Ok(())
+    }
+
+    /// Replace the caches with a complete set of merged worker reports.
+    fn store(&mut self, merged: WorkerReport) {
+        self.stats_cache = merged.stats;
+        self.pool_cache = merged.pool;
+        self.fabric_cache = merged.fabric;
+        self.forwarded_cache = merged.forwarded;
     }
 
     /// Wire statistics as of the last settle. Replay mode reports the
@@ -1153,6 +1164,17 @@ where
         match &self.oracle {
             Some(oracle) => oracle.pool_stats(),
             None => self.pool_cache,
+        }
+    }
+
+    /// Transit copies forwarded by intermediate workers (always 0 on a
+    /// full mesh): the oracle's count in replay mode (identical to the
+    /// simnet run), the merged worker counts as of the last settle when
+    /// free-running.
+    pub fn forwarded_messages(&self) -> u64 {
+        match &self.oracle {
+            Some(oracle) => oracle.forwarded_messages(),
+            None => self.forwarded_cache,
         }
     }
 
@@ -1204,20 +1226,14 @@ where
         // workers died) keeps the last complete settle snapshot instead
         // of an under-counting merge.
         if self.oracle.is_none() {
-            let mut stats = NetworkStats::with_nodes(self.n);
-            let mut pool = PoolStats::default();
-            let mut fabric = FabricStats::default();
+            let mut merged = WorkerReport::empty(self.n);
             let mut got = 0;
             while let Ok(report) = self.reports.try_recv() {
-                stats.merge(&report.stats);
-                pool.merge(report.pool);
-                fabric.merge(&report.fabric);
+                merged.merge(report);
                 got += 1;
             }
             if got == self.n {
-                self.stats_cache = stats;
-                self.pool_cache = pool;
-                self.fabric_cache = fabric;
+                self.store(merged);
             }
         }
         pairs.sort_by_key(|&(i, _)| i);
@@ -1260,7 +1276,15 @@ mod tests {
     }
 
     fn net(mode: ThreadedMode, n: usize) -> ThreadedNet<RawPayload, Echo> {
-        ThreadedNet::new(mode, SimConfig::default(), vec![Echo::default(); n])
+        mesh(mode, vec![Echo::default(); n])
+    }
+
+    fn mesh<N>(mode: ThreadedMode, nodes: Vec<N>) -> ThreadedNet<RawPayload, N>
+    where
+        N: Node<RawPayload> + Clone + Send + 'static,
+    {
+        let topology = Topology::full_mesh(nodes.len());
+        ThreadedNet::new(mode, topology, SimConfig::default(), nodes).unwrap()
     }
 
     #[test]
@@ -1381,11 +1405,12 @@ mod tests {
 
     #[test]
     fn replay_matches_pure_simulation() {
-        let mut sim = crate::sim::Simulator::new(
-            crate::network::Topology::full_mesh(3),
+        let mut sim = Simulator::new(
+            Topology::full_mesh(3),
             SimConfig::default(),
             vec![Echo::default(); 3],
-        );
+        )
+        .unwrap();
         sim.with_node(NodeId(0), |_, ctx| {
             ctx.send_multi([NodeId(1), NodeId(2)], RawPayload::new(4, 0));
         });
@@ -1452,8 +1477,7 @@ mod tests {
     #[test]
     fn timers_fire_in_both_modes() {
         for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
-            let mut net: ThreadedNet<RawPayload, TimerKick> =
-                ThreadedNet::new(mode, SimConfig::default(), vec![TimerKick::default(); 2]);
+            let mut net = mesh(mode, vec![TimerKick::default(); 2]);
             net.with_node(NodeId(0), |_, ctx| {
                 ctx.send(NodeId(1), RawPayload::new(1, 1));
             });
@@ -1492,11 +1516,7 @@ mod tests {
 
     #[test]
     fn dead_worker_surfaces_as_a_typed_error() {
-        let mut net: ThreadedNet<RawPayload, Grenade> = ThreadedNet::new(
-            ThreadedMode::FreeRunning,
-            SimConfig::default(),
-            vec![Grenade::default(); 3],
-        );
+        let mut net = mesh(ThreadedMode::FreeRunning, vec![Grenade::default(); 3]);
         // Poke the doomed node; its handler panics on delivery.
         net.with_node(NodeId(0), |_, ctx| {
             ctx.send(NodeId(2), RawPayload::new(1, 99));
@@ -1526,5 +1546,112 @@ mod tests {
         // Shutdown still returns the survivors (in id order).
         let nodes = net.into_nodes();
         assert_eq!(nodes.len(), 2);
+    }
+
+    /// Counts deliveries and remembers who sent what.
+    #[derive(Clone, Debug, Default)]
+    struct Sink {
+        got: Vec<(NodeId, usize)>,
+    }
+
+    impl Node<RawPayload> for Sink {
+        fn on_message(&mut self, _ctx: &mut NodeContext<RawPayload>, from: NodeId, p: RawPayload) {
+            self.got.push((from, p.data));
+        }
+    }
+
+    fn sinks(mode: ThreadedMode, topology: Topology) -> ThreadedNet<RawPayload, Sink> {
+        let n = topology.node_count();
+        ThreadedNet::new(
+            mode,
+            topology,
+            SimConfig::default(),
+            vec![Sink::default(); n],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn free_running_routed_delivery_crosses_real_hops() {
+        let mut t = sinks(ThreadedMode::FreeRunning, Topology::ring(6));
+        // 0 → 3 is three ring hops; workers 1 and 2 must forward.
+        t.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(3), RawPayload::new(8, 4));
+        });
+        assert!(t.settle().is_quiescent());
+        assert_eq!(t.query(NodeId(3), |n| n.got.clone()), vec![(NodeId(0), 8)]);
+        assert!(t.query(NodeId(1), |n| n.got.is_empty()));
+        assert_eq!(t.stats().total_messages(), 3);
+        assert_eq!(t.forwarded_messages(), 2);
+    }
+
+    #[test]
+    fn routed_replay_is_bit_identical_to_the_simulator() {
+        let script = |t: &mut dyn FnMut(NodeId, NodeId, usize)| {
+            t(NodeId(0), NodeId(2), 11);
+            t(NodeId(3), NodeId(1), 22);
+            t(NodeId(2), NodeId(0), 33);
+        };
+
+        let mut sim = Simulator::new(
+            Topology::ring(4),
+            SimConfig::default(),
+            vec![Sink::default(); 4],
+        )
+        .unwrap();
+        script(&mut |from, to, v| {
+            sim.with_node(from, |_n, ctx| ctx.send(to, RawPayload::new(v, 0)));
+        });
+        sim.run_until_quiescent();
+
+        let mut thr = sinks(ThreadedMode::Replay, Topology::ring(4));
+        script(&mut |from, to, v| {
+            thr.with_node(from, move |_n, ctx| ctx.send(to, RawPayload::new(v, 0)));
+        });
+        assert!(thr.settle().is_quiescent());
+
+        assert_eq!(thr.stats(), sim.stats());
+        assert_eq!(thr.events_processed(), sim.events_processed());
+        assert_eq!(thr.now(), sim.now());
+        assert_eq!(thr.forwarded_messages(), sim.forwarded_messages());
+        assert!(thr.forwarded_messages() > 0);
+        let threaded_nodes = thr.into_nodes();
+        let (sim_nodes, _) = sim.into_parts();
+        for (i, (a, b)) in threaded_nodes.iter().zip(&sim_nodes).enumerate() {
+            assert_eq!(a.got, b.got, "node {i}");
+        }
+    }
+
+    #[test]
+    fn restore_node_keeps_routing() {
+        let mut t = sinks(ThreadedMode::FreeRunning, Topology::line(3));
+        t.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(2), RawPayload::new(5, 0));
+        });
+        t.settle();
+        assert_eq!(t.query(NodeId(2), |n| n.got.len()), 1);
+        t.restore_node(NodeId(2), Sink::default());
+        assert_eq!(t.query(NodeId(2), |n| n.got.len()), 0);
+        // The net still routes: a fresh send crosses the middle hop.
+        t.with_node(NodeId(0), |_n, ctx| {
+            ctx.send(NodeId(2), RawPayload::new(6, 0));
+        });
+        t.settle();
+        assert_eq!(t.query(NodeId(2), |n| n.got.clone()), vec![(NodeId(0), 6)]);
+        assert_eq!(t.forwarded_messages(), 2);
+    }
+
+    #[test]
+    fn disconnected_topology_is_rejected_at_construction() {
+        let topology = Topology::explicit(3, [(0, 1), (1, 0)]);
+        let err = ThreadedNet::new(
+            ThreadedMode::FreeRunning,
+            topology,
+            SimConfig::default(),
+            vec![Sink::default(); 3],
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(err, RouteError::Disconnected { .. }));
     }
 }
