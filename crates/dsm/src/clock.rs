@@ -8,6 +8,17 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
+
+/// The in-memory form of a write's causal timestamp: one immutable,
+/// shared vector clock.
+///
+/// A causal write is announced to every other process (as an update or a
+/// control record), logged for catch-up, and held by every receiver until
+/// it is applied. All of these hold the same stamp, so a write allocates
+/// its dense clock once, however wide its fan-out. `Arc` rather than `Rc`
+/// because the threaded backend moves messages between worker threads.
+pub type Stamp = Arc<VectorClock>;
 
 /// A vector clock over `n` processes.
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -111,10 +122,11 @@ impl fmt::Debug for VectorClock {
 /// [`DeltaVc::encode`] falls back to carrying the full clock; the
 /// encoded size is therefore never larger than dense.
 ///
-/// The simulator never serializes payloads — messages keep carrying
-/// dense [`VectorClock`]s and `DeltaVc` exists to *charge* the wire
-/// accurately under delta delivery modes. Decodability is what makes the
-/// charge honest: every destination of a writer receives that writer's
+/// The simulator never serializes payloads — messages carry the writer's
+/// shared [`Stamp`] (one allocation per write, whatever the fan-out) and
+/// `DeltaVc` exists to *charge* the wire accurately under delta delivery
+/// modes: what a message costs is independent of how it is held in
+/// memory. Decodability is what makes the charge honest: every destination of a writer receives that writer's
 /// full write stream in FIFO order, so it can reconstruct each clock
 /// from the previous one via [`DeltaVc::decode`], which the round-trip
 /// proptests pin down.

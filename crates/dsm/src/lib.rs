@@ -55,7 +55,7 @@ pub mod recorder;
 pub mod runtime;
 
 pub use api::{DsmError, ProtocolKind};
-pub use clock::{DeltaVc, SequenceTracker, VectorClock};
+pub use clock::{DeltaVc, SequenceTracker, Stamp, VectorClock};
 pub use control::{ControlStats, ControlSummary};
 pub use dynamic::{DynDsm, ReplicaSnapshot};
 pub use protocol::causal_full::{CausalFull, CausalFullMsg, CausalFullNode, CausalMsg};

@@ -1,7 +1,7 @@
 //! Causal consistency with full replication.
 //!
-//! The classical implementation the paper cites as the norm ([3], [4],
-//! [8]): every node replicates every variable; each update carries the
+//! The classical implementation the paper cites as the norm (\[3\], \[4\],
+//! \[8\]): every node replicates every variable; each update carries the
 //! writer's vector clock and is broadcast to all other nodes; delivery is
 //! delayed until the causal-broadcast condition holds, so applying updates
 //! in delivery order yields a causally consistent memory.
@@ -10,9 +10,13 @@
 //! systems: every node receives every update (data **and** an `O(n)`
 //! vector clock of control information), regardless of whether its
 //! application process ever touches the variable.
+//!
+//! A write's clock is allocated once, as a shared [`Stamp`]: the
+//! own-write log, the broadcast and every receiver's pending copy hold the
+//! same allocation.
 
 use crate::api::ProtocolKind;
-use crate::clock::{DeltaVc, VectorClock};
+use crate::clock::{DeltaVc, Stamp, VectorClock};
 use crate::control::ControlStats;
 use crate::protocol::{McsNode, ProtocolSpec};
 use histories::{Distribution, ProcId, Value, VarId};
@@ -28,11 +32,12 @@ pub struct CausalMsg {
     pub var: VarId,
     /// The written value.
     pub value: i64,
-    /// The writer's vector clock *after* incrementing its own entry.
-    pub vc: VectorClock,
+    /// The writer's vector clock *after* incrementing its own entry: the
+    /// write's shared stamp, the same allocation as its log entry.
+    pub vc: Stamp,
     /// The wire size charged for `vc`: its dense size classically, or its
     /// [`DeltaVc`] size against the writer's previous broadcast under a
-    /// delta delivery mode. Accounting only — the dense clock above is
+    /// delta delivery mode. Accounting only — the full clock above is
     /// what delivery logic reads, so histories are mode-independent.
     pub encoded: usize,
 }
@@ -45,7 +50,7 @@ impl CausalMsg {
             writer,
             var,
             value,
-            vc,
+            vc: Stamp::new(vc),
             encoded,
         }
     }
@@ -116,11 +121,11 @@ pub struct CausalFullNode {
     log: Vec<CausalMsg>,
     /// Whether broadcast clocks are charged at their delta-encoded size.
     delta: bool,
-    /// The clock carried by this node's previous broadcast — the
-    /// reference every destination already holds (writer streams are
-    /// FIFO), so the next broadcast's clock can be charged as a delta
-    /// against it.
-    prev_write_vc: VectorClock,
+    /// The stamp of this node's previous broadcast (the zero clock before
+    /// the first) — the reference every destination already holds (writer
+    /// streams are FIFO), so the next broadcast's clock can be charged as
+    /// a delta against it.
+    prev_write_vc: Stamp,
 }
 
 impl CausalFullNode {
@@ -143,7 +148,7 @@ impl CausalFullNode {
             delivered: 0,
             log: Vec::new(),
             delta,
-            prev_write_vc: VectorClock::new(n),
+            prev_write_vc: Stamp::new(VectorClock::new(n)),
         }
     }
 
@@ -171,9 +176,16 @@ impl CausalFullNode {
         msg.vc.get(msg.writer) <= self.vc.get(msg.writer)
     }
 
+    /// Apply a deliverable update. The delivery condition makes the merge
+    /// with its clock exactly an increment of the writer's entry: every
+    /// other entry of the clock is already covered locally.
     fn apply(&mut self, msg: &CausalMsg) {
+        debug_assert!(
+            self.vc.deliverable_from(&msg.vc, msg.writer),
+            "apply requires the causal delivery condition"
+        );
         self.store.insert(msg.var, Value::Int(msg.value));
-        self.vc.merge(&msg.vc);
+        self.vc.increment(msg.writer);
         self.delivered += 1;
     }
 
@@ -190,7 +202,7 @@ impl CausalFullNode {
                     // Applying a message may turn other pending copies of
                     // the same write (duplicates) permanently stale —
                     // purge them so they cannot pile up.
-                    let vc = self.vc.clone();
+                    let vc = &self.vc;
                     self.pending
                         .retain(|m| m.vc.get(m.writer) > vc.get(m.writer));
                 }
@@ -226,28 +238,21 @@ impl Node<CausalFullMsg> for CausalFullNode {
                 // so it is exactly the base the decoder holds — and each
                 // later one against the previous resend, sound because
                 // the link delivers them FIFO.
-                let mut base = vc.clone();
-                let delta = self.delta;
-                let missing: Vec<CausalMsg> = self
-                    .log
-                    .iter()
-                    .filter(|m| m.vc.get(self.me.index()) > vc.get(self.me.index()))
-                    .map(|m| {
-                        let encoded = if delta {
-                            DeltaVc::encode(&base, &m.vc).wire_bytes()
-                        } else {
-                            m.vc.wire_bytes()
-                        };
-                        base.clone_from(&m.vc);
-                        CausalMsg {
-                            encoded,
-                            ..m.clone()
-                        }
-                    })
-                    .collect();
-                for m in missing {
-                    self.control.charge_sent(m.var, m.control_size());
-                    ctx.send(NodeId(from), CausalFullMsg::Update(m));
+                let me = self.me.index();
+                let mut base: &VectorClock = &vc;
+                for m in self.log.iter().filter(|m| m.vc.get(me) > vc.get(me)) {
+                    let encoded = if self.delta {
+                        DeltaVc::encode(base, &m.vc).wire_bytes()
+                    } else {
+                        m.vc.wire_bytes()
+                    };
+                    base = &m.vc;
+                    let resend = CausalMsg {
+                        encoded,
+                        ..m.clone()
+                    };
+                    self.control.charge_sent(resend.var, resend.control_size());
+                    ctx.send(NodeId(from), CausalFullMsg::Update(resend));
                 }
             }
         }
@@ -265,17 +270,20 @@ impl McsNode for CausalFullNode {
         self.vc.increment(self.me.index());
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
+        // The write's one clock allocation, shared by the log entry and
+        // the broadcast.
+        let stamp = Stamp::new(self.vc.clone());
         let encoded = if self.delta {
-            DeltaVc::encode(&self.prev_write_vc, &self.vc).wire_bytes()
+            DeltaVc::encode(&self.prev_write_vc, &stamp).wire_bytes()
         } else {
-            self.vc.wire_bytes()
+            stamp.wire_bytes()
         };
-        self.prev_write_vc.clone_from(&self.vc);
+        self.prev_write_vc = Stamp::clone(&stamp);
         let msg = CausalMsg {
             writer: self.me.index(),
             var,
             value,
-            vc: self.vc.clone(),
+            vc: stamp,
             encoded,
         };
         self.log.push(msg.clone());
@@ -497,7 +505,7 @@ mod tests {
             for v in 1..=4 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
             }
-            let clocks: Vec<VectorClock> = ctx
+            let clocks: Vec<Stamp> = ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {
@@ -563,6 +571,45 @@ mod tests {
             assert!(m.encoded <= m.vc.wire_bytes());
             assert_eq!(m.encoded, 4 + 12);
             base.clone_from(&m.vc);
+        }
+    }
+
+    #[test]
+    fn the_log_and_the_broadcast_share_one_stamp() {
+        let dist = Distribution::full(3, 1);
+        for mode in simnet::DeliveryMode::ALL {
+            let mut nodes = CausalFull::build_nodes(&dist, mode);
+            let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
+            for v in 1..=2 {
+                nodes[0].local_write(&mut ctx, VarId(0), v);
+            }
+            let node = &nodes[0];
+            assert!(Stamp::ptr_eq(&node.prev_write_vc, &node.log[1].vc));
+            let mut resp_ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
+            nodes[0].on_message(
+                &mut resp_ctx,
+                NodeId(2),
+                CausalFullMsg::CatchupReq {
+                    from: 2,
+                    vc: VectorClock::new(3),
+                },
+            );
+            // Two broadcasts then two catch-up resends: the k-th write's
+            // copies are all the k-th log entry's allocation.
+            let sent: Vec<&CausalMsg> = ctx
+                .outgoing()
+                .iter()
+                .chain(resp_ctx.outgoing())
+                .map(|o| match o {
+                    simnet::Outgoing::One(_, CausalFullMsg::Update(m))
+                    | simnet::Outgoing::Many(_, CausalFullMsg::Update(m)) => m,
+                    other => panic!("unexpected send {other:?}"),
+                })
+                .collect();
+            assert_eq!(sent.len(), 4);
+            for (i, m) in sent.iter().enumerate() {
+                assert!(Stamp::ptr_eq(&m.vc, &nodes[0].log[i % 2].vc), "{mode:?}");
+            }
         }
     }
 }

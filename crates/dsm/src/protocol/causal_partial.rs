@@ -8,8 +8,8 @@
 //! it can (a) order later updates it *does* replicate after that write
 //! and (b) relay the dependency when its own writes are causally after it.
 //!
-//! This is the style of implementation the paper attributes to [7] and
-//! [14] and criticizes: partial replication of the *data* without partial
+//! This is the style of implementation the paper attributes to \[7\] and
+//! \[14\] and criticizes: partial replication of the *data* without partial
 //! replication of the *metadata*. Its measured control overhead is what the
 //! efficiency benchmarks compare against the PRAM protocol.
 //!
@@ -34,9 +34,17 @@
 //! write still produces exactly one control record per non-replica, and
 //! the causal delivery condition is evaluated record by record exactly as
 //! in the unbatched mode. The differential proptests pin this down.
+//!
+//! ## One stamp per write
+//!
+//! A write's clock is allocated once, as a shared [`Stamp`]: the own-write
+//! log, every buffered or piggybacked [`ControlRecord`], every `Update` or
+//! `Control` copy and every receiver's pending entry hold that one
+//! allocation, so the fan-out Theorem 1 forces costs wire bytes (charged
+//! through `encoded`) but not a dense clock per destination in memory.
 
 use crate::api::ProtocolKind;
-use crate::clock::{DeltaVc, VectorClock};
+use crate::clock::{DeltaVc, Stamp, VectorClock};
 use crate::control::ControlStats;
 use crate::protocol::{McsNode, ProtocolSpec};
 use histories::{Distribution, ProcId, Value, VarId};
@@ -62,12 +70,13 @@ pub struct ControlRecord {
     pub writer: usize,
     /// The written variable.
     pub var: VarId,
-    /// The writer's vector clock after the write.
-    pub vc: VectorClock,
+    /// The writer's clock after the write: the write's shared stamp, the
+    /// same allocation as its log entry and every other copy it was sent.
+    pub vc: Stamp,
     /// The wire size charged for `vc`: dense classically, the
     /// [`DeltaVc`] size against the writer's previous broadcast under a
     /// delta delivery mode. Accounting only — delivery logic reads the
-    /// dense clock above, so what is delivered is mode-independent.
+    /// full clock above, so what is delivered is mode-independent.
     pub encoded: usize,
 }
 
@@ -78,7 +87,7 @@ impl ControlRecord {
         ControlRecord {
             writer,
             var,
-            vc,
+            vc: Stamp::new(vc),
             encoded,
         }
     }
@@ -105,8 +114,8 @@ pub enum CausalPartialMsg {
         var: VarId,
         /// The written value.
         value: i64,
-        /// The writer's vector clock after the write.
-        vc: VectorClock,
+        /// The writer's clock after the write: the write's shared stamp.
+        vc: Stamp,
         /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
         /// under a delta delivery mode).
         encoded: usize,
@@ -122,8 +131,8 @@ pub enum CausalPartialMsg {
         writer: usize,
         /// The written variable.
         var: VarId,
-        /// The writer's vector clock after the write.
-        vc: VectorClock,
+        /// The writer's clock after the write: the write's shared stamp.
+        vc: Stamp,
         /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
         /// under a delta delivery mode).
         encoded: usize,
@@ -240,20 +249,21 @@ pub struct CausalPartialNode {
     batching: bool,
     /// Whether broadcast clocks are charged at their delta-encoded size.
     delta: bool,
-    /// The clock carried by this node's previous write — the reference
-    /// every destination already holds (each destination sees this
-    /// writer's full write stream, as updates or control records), so the
-    /// next write's clock can be charged as a delta against it.
-    prev_write_vc: VectorClock,
+    /// The stamp of this node's previous write (the zero clock before the
+    /// first) — the reference every destination already holds (each
+    /// destination sees this writer's full write stream, as updates or
+    /// control records), so the next write's clock can be charged as a
+    /// delta against it.
+    prev_write_vc: Stamp,
     /// Per-destination buffers of not-yet-sent control records (batching
     /// mode only; indexed by destination process id, own slot unused).
     buffers: Vec<Vec<ControlRecord>>,
     /// Whether a flush timer is currently pending.
     flush_armed: bool,
-    /// Persisted log of this node's own writes (variable, value, clock at
+    /// Persisted log of this node's own writes (variable, value, stamp of
     /// the write), in program order — the material catch-up responses are
     /// served from.
-    log: Vec<(VarId, i64, VectorClock)>,
+    log: Vec<(VarId, i64, Stamp)>,
 }
 
 impl CausalPartialNode {
@@ -271,7 +281,7 @@ impl CausalPartialNode {
             delivered_control: 0,
             batching: delivery.batching,
             delta: delivery.delta,
-            prev_write_vc: VectorClock::new(dist.process_count()),
+            prev_write_vc: Stamp::new(VectorClock::new(dist.process_count())),
             buffers: vec![Vec::new(); dist.process_count()],
             flush_armed: false,
             log: Vec::new(),
@@ -304,15 +314,24 @@ impl CausalPartialNode {
         self.buffers.iter().map(Vec::len).sum()
     }
 
+    /// Apply a deliverable message. The delivery condition makes the
+    /// merge with its clock exactly an increment of the writer's entry:
+    /// every other entry of the clock is already covered locally.
     fn apply(&mut self, msg: &CausalPartialMsg) {
+        debug_assert!(
+            self.vc.deliverable_from(msg.vc(), msg.writer()),
+            "apply requires the causal delivery condition"
+        );
         match msg {
-            CausalPartialMsg::Update { var, value, vc, .. } => {
+            CausalPartialMsg::Update {
+                writer, var, value, ..
+            } => {
                 self.store.insert(*var, Value::Int(*value));
-                self.vc.merge(vc);
+                self.vc.increment(*writer);
                 self.delivered_updates += 1;
             }
-            CausalPartialMsg::Control { vc, .. } => {
-                self.vc.merge(vc);
+            CausalPartialMsg::Control { writer, .. } => {
+                self.vc.increment(*writer);
                 self.delivered_control += 1;
             }
             CausalPartialMsg::ControlBatch { .. } | CausalPartialMsg::CatchupReq { .. } => {
@@ -342,7 +361,7 @@ impl CausalPartialNode {
                     // Applying a message may turn other pending copies of
                     // the same write permanently stale — purge them so
                     // duplicates cannot pile up.
-                    let vc = self.vc.clone();
+                    let vc = &self.vc;
                     self.pending
                         .retain(|m| m.vc().get(m.writer()) > vc.get(m.writer()));
                 }
@@ -456,12 +475,6 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 // requester replicates the variable, a control record
                 // otherwise — mirroring the fault-free wire exactly.
                 let me = self.me.index();
-                let missing: Vec<(VarId, i64, VectorClock)> = self
-                    .log
-                    .iter()
-                    .filter(|(_, _, wvc)| wvc.get(me) > vc.get(me))
-                    .cloned()
-                    .collect();
                 // Under delta delivery the resends are chained through the
                 // cheaper-of-two encoder like live traffic: the first
                 // clock is encoded against the requester's restored clock
@@ -470,14 +483,20 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 // whether that travelled as an update or a control
                 // record — both carry the clock, and the link delivers
                 // them FIFO.
-                let mut base = vc;
-                for (var, value, wvc) in missing {
+                let mut base: &VectorClock = &vc;
+                for (var, value, wvc) in self
+                    .log
+                    .iter()
+                    .filter(|(_, _, wvc)| wvc.get(me) > vc.get(me))
+                {
+                    let (var, value) = (*var, *value);
                     let encoded = if self.delta {
-                        DeltaVc::encode(&base, &wvc).wire_bytes()
+                        DeltaVc::encode(base, wvc).wire_bytes()
                     } else {
                         wvc.wire_bytes()
                     };
-                    base.clone_from(&wvc);
+                    base = wvc;
+                    let wvc = Stamp::clone(wvc);
                     if self.dist.replicates(ProcId(from), var) {
                         self.control.charge_sent(var, encoded + 8);
                         ctx.send(
@@ -531,19 +550,22 @@ impl McsNode for CausalPartialNode {
         self.vc.increment(self.me.index());
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
-        self.log.push((var, value, self.vc.clone()));
+        // The write's one clock allocation: the log, every record and
+        // every update below share it.
+        let stamp = Stamp::new(self.vc.clone());
+        self.log.push((var, value, Stamp::clone(&stamp)));
         let replicas = self.dist.replicas_of(var);
         let encoded = if self.delta {
-            DeltaVc::encode(&self.prev_write_vc, &self.vc).wire_bytes()
+            DeltaVc::encode(&self.prev_write_vc, &stamp).wire_bytes()
         } else {
-            self.vc.wire_bytes()
+            stamp.wire_bytes()
         };
-        self.prev_write_vc.clone_from(&self.vc);
+        self.prev_write_vc = Stamp::clone(&stamp);
         let update_bytes = encoded + 8;
         let record = ControlRecord {
             writer: self.me.index(),
             var,
-            vc: self.vc.clone(),
+            vc: Stamp::clone(&stamp),
             encoded,
         };
         let replica_targets: Vec<NodeId> = (0..self.dist.process_count())
@@ -563,7 +585,7 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: self.vc.clone(),
+                vc: Stamp::clone(&stamp),
                 encoded,
                 piggyback: Vec::new(),
             };
@@ -574,7 +596,7 @@ impl McsNode for CausalPartialNode {
             let control = CausalPartialMsg::Control {
                 writer: self.me.index(),
                 var,
-                vc: self.vc.clone(),
+                vc: stamp,
                 encoded,
             };
             for _ in &other_targets {
@@ -613,7 +635,7 @@ impl McsNode for CausalPartialNode {
                         writer: self.me.index(),
                         var,
                         value,
-                        vc: self.vc.clone(),
+                        vc: Stamp::clone(&stamp),
                         encoded,
                         piggyback,
                     },
@@ -626,7 +648,7 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: self.vc.clone(),
+                vc: stamp,
                 encoded,
                 piggyback: Vec::new(),
             },
@@ -697,7 +719,7 @@ mod tests {
         CausalPartialMsg::Control {
             writer,
             var,
-            vc,
+            vc: Stamp::new(vc),
             encoded,
         }
     }
@@ -708,7 +730,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4),
+            vc: Stamp::new(VectorClock::new(4)),
             encoded: 4 * 8,
             piggyback: Vec::new(),
         };
@@ -744,7 +766,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4),
+            vc: Stamp::new(VectorClock::new(4)),
             encoded: 4 * 8,
             piggyback: vec![record(0)],
         };
@@ -976,7 +998,7 @@ mod tests {
                     vc: VectorClock::new(3),
                 },
             );
-            let resent: Vec<(VectorClock, usize)> = resp_ctx
+            let resent: Vec<(Stamp, usize)> = resp_ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {
@@ -1006,5 +1028,101 @@ mod tests {
             assert_eq!(encoded, 4 + 12);
             base.clone_from(&vc);
         }
+    }
+
+    /// The stamps a message holds: its own clock, plus each piggybacked or
+    /// batched record's.
+    fn stamps(msg: &CausalPartialMsg) -> Vec<&Stamp> {
+        match msg {
+            CausalPartialMsg::Update { vc, piggyback, .. } => std::iter::once(vc)
+                .chain(piggyback.iter().map(|r| &r.vc))
+                .collect(),
+            CausalPartialMsg::Control { vc, .. } => vec![vc],
+            CausalPartialMsg::ControlBatch { records } => records.iter().map(|r| &r.vc).collect(),
+            CausalPartialMsg::CatchupReq { .. } => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_copy_of_a_write_shares_its_one_stamp() {
+        // p0 replicates x0 (with p1) and x1 (with p2); p3 replicates
+        // neither, so each write fans out updates, records to buffer,
+        // piggybacks and (on the timer) batches.
+        let mut dist = Distribution::new(4, 2);
+        dist.assign(ProcId(0), VarId(0));
+        dist.assign(ProcId(1), VarId(0));
+        dist.assign(ProcId(0), VarId(1));
+        dist.assign(ProcId(2), VarId(1));
+        for mode in DeliveryMode::ALL {
+            let mut node = CausalPartialNode::new(ProcId(0), &dist, mode);
+            let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+            for (i, var) in [VarId(0), VarId(1), VarId(0)].into_iter().enumerate() {
+                node.local_write(&mut ctx, var, i as i64);
+                let last = &node.log[i].2;
+                assert!(Stamp::ptr_eq(&node.prev_write_vc, last), "{mode:?}");
+            }
+            // A copy of the k-th write must be the k-th log entry's stamp,
+            // never a clone of the clock.
+            let log: Vec<Stamp> = node.log.iter().map(|(_, _, vc)| Stamp::clone(vc)).collect();
+            let is_logged = |vc: &Stamp| Stamp::ptr_eq(vc, &log[vc.get(0) as usize - 1]);
+            let mut checked = 0;
+            for record in node.buffers.iter().flatten() {
+                assert!(is_logged(&record.vc), "{mode:?}: buffered record");
+                checked += 1;
+            }
+            let mut flush = NodeContext::new(NodeId(0), SimTime::ZERO);
+            node.on_timer(&mut flush, FLUSH_TAG);
+            let mut catchup = NodeContext::new(NodeId(0), SimTime::ZERO);
+            node.on_message(
+                &mut catchup,
+                NodeId(3),
+                CausalPartialMsg::CatchupReq {
+                    from: 3,
+                    vc: VectorClock::new(4),
+                },
+            );
+            for out in [&ctx, &flush, &catchup]
+                .into_iter()
+                .flat_map(|c| c.outgoing())
+            {
+                let (simnet::Outgoing::One(_, msg) | simnet::Outgoing::Many(_, msg)) = out;
+                for vc in stamps(msg) {
+                    assert!(is_logged(vc), "{mode:?}: sent {msg:?}");
+                    checked += 1;
+                }
+            }
+            // Each write leaves at least an update and a control message
+            // or record, and p3 is resent all three writes.
+            assert!(checked >= 3 * 2 + 3, "{mode:?}: only {checked} copies seen");
+        }
+    }
+
+    #[test]
+    fn a_received_stamp_is_held_not_copied() {
+        let dist = Distribution::new(2, 1);
+        let mut node = CausalPartialNode::new(ProcId(1), &dist, DeliveryMode::UNICAST);
+        let mut vc2 = VectorClock::new(2);
+        vc2.increment(0);
+        vc2.increment(0);
+        let stamp = Stamp::new(vc2);
+        let mut ctx = NodeContext::new(NodeId(1), SimTime::ZERO);
+        node.on_message(
+            &mut ctx,
+            NodeId(0),
+            CausalPartialMsg::ControlBatch {
+                records: vec![ControlRecord {
+                    writer: 0,
+                    var: VarId(0),
+                    vc: Stamp::clone(&stamp),
+                    encoded: stamp.wire_bytes(),
+                }],
+            },
+        );
+        // Not yet deliverable: the pending entry holds the sender's stamp.
+        assert_eq!(node.pending_count(), 1);
+        assert!(matches!(
+            &node.pending[0],
+            CausalPartialMsg::Control { vc, .. } if Stamp::ptr_eq(vc, &stamp)
+        ));
     }
 }

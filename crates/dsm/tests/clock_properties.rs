@@ -110,6 +110,37 @@ proptest! {
         prop_assert_eq!(local.total(), messages.len() as u64);
     }
 
+    /// Under the delivery condition, merging a message's clock is exactly
+    /// an increment of the sender's entry — which is why the causal
+    /// protocols apply a deliverable message with `increment`. Checked on
+    /// messages built to be deliverable (the sender's next write over
+    /// dependencies the receiver already covers) and on arbitrary ones.
+    #[test]
+    fn merge_of_a_deliverable_message_is_an_increment(
+        local in proptest::collection::vec(0u64..6, 1..12),
+        sender in 0usize..12,
+        lag in proptest::collection::vec(0u64..4, 12),
+        other in proptest::collection::vec(0u64..6, 12),
+    ) {
+        let n = local.len();
+        let w = sender % n;
+        let local = clock(local);
+        let built: Vec<u64> = (0..n)
+            .map(|k| if k == w { local.get(k) + 1 } else { local.get(k).saturating_sub(lag[k]) })
+            .collect();
+        let built = clock(built);
+        prop_assert!(local.deliverable_from(&built, w));
+        for msg in [built, clock(other[..n].to_vec())] {
+            if local.deliverable_from(&msg, w) {
+                let mut merged = local.clone();
+                merged.merge(&msg);
+                let mut incremented = local.clone();
+                incremented.increment(w);
+                prop_assert_eq!(&merged, &incremented);
+            }
+        }
+    }
+
     /// Sequence trackers accept monotonically increasing (possibly gappy)
     /// sequences and reject regressions.
     #[test]

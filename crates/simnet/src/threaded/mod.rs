@@ -38,7 +38,7 @@
 //! same guarantee the old unbounded-mpsc fabric gave, now with
 //! allocation-free steady state.
 //!
-//! A worker thread that panics marks itself in a shared [`DeadSet`] on
+//! A worker thread that panics marks itself in a shared `DeadSet` on
 //! the way down; the coordinator's waits poll that set and surface a
 //! typed [`WorkerDead`] error instead of hanging, and peers drop
 //! messages addressed to the corpse so their own sends cannot stall
@@ -56,7 +56,7 @@
 //! no fault injection, and no `on_start` hooks that emit messages or
 //! timers (none of the DSM protocols use them).
 //!
-//! Host time is confined to the [`clock`] watchdog module, the sole
+//! Host time is confined to the `clock` watchdog module, the sole
 //! holder of the `no-wall-clock` lint exemption.
 
 pub(crate) mod clock;
